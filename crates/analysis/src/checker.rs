@@ -35,15 +35,20 @@ pub fn check_program(program: &Program, opts: &AnalysisOptions) -> Vec<Diagnosti
     check_program_parallel(program, opts, jobs)
 }
 
-/// The worker count to use for `requested` (0 = all cores) over `work_items`
-/// definitions. Always 1 when the `parallel` feature is off.
-pub(crate) fn effective_jobs(requested: usize, work_items: usize) -> usize {
-    if !cfg!(feature = "parallel") {
+/// The worker count to use for `requested` (0 = all cores) over
+/// `work_items` independent items (definitions here, translation units in
+/// the front end). Always 1 when the `parallel` feature is off.
+pub fn effective_jobs(requested: usize, work_items: usize) -> usize {
+    if !cfg!(feature = "parallel") || work_items <= 1 {
         return 1;
     }
-    let hw = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let n = if requested == 0 { hw } else { requested };
-    n.clamp(1, work_items.max(1))
+    // Asking the OS for the core count reads cgroup files on Linux: only
+    // pay for it when the caller asked for "all cores".
+    let n = match requested {
+        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        n => n,
+    };
+    n.clamp(1, work_items)
 }
 
 #[cfg(feature = "parallel")]

@@ -47,7 +47,9 @@ pub use cache::{
     CACHE_FORMAT_VERSION,
 };
 pub use castore::{CasStats, CasStore};
-pub use checker::{check_function, check_function_isolated, check_program, FunctionOutcome};
+pub use checker::{
+    check_function, check_function_isolated, check_program, effective_jobs, FunctionOutcome,
+};
 pub use diag::{DiagKind, Diagnostic, Note};
 pub use infer::{
     infer_annotations, infer_annotations_into, InferResult, InferTarget, InferredAnnot,

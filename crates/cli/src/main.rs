@@ -11,7 +11,9 @@
 //!   -stdlib         do not load the annotated standard library
 //! Other options:
 //!   --json          machine-readable output
-//!   --jobs N        checker worker threads (0 = all cores, the default)
+//!   --jobs N        worker threads for both the front end (preprocess and
+//!                   parse, one file per worker) and the checker (one
+//!                   function per worker); 0 = all cores, the default
 //!   --lib FILE      load an interface library
 //!   --emit-lib      print the interface library of the inputs and exit
 //!   --run ENTRY     interpret ENTRY() after checking (runtime baseline)
@@ -93,6 +95,8 @@ fn usage() -> ! {
          \u{20}        --suite DIR [--shards N] [--budget SECS] [--task-budget-ms MS]\n\
          \u{20}        --suite-gen DIR [--suite-tasks N] --worker\n\
          \u{20}        --cas DIR [--cas-max-mb N] [--cas-remote ADDR [--cas-chaos SPEC]]\n\
+         --jobs N: worker threads for both the front end (one file per worker)\n\
+         \u{20}        and the checker (one function per worker); 0 = all cores\n\
          exit codes: 0 clean, 1 warnings, 2 usage/IO error, 3 internal checker error\n\
          \u{20}           (--watch/--daemon: 0 clean shutdown, 2 usage/IO error)\n\
          \u{20}           (--suite: 0 no incorrect verdicts, 1 otherwise)",
@@ -749,7 +753,8 @@ fn main() -> ExitCode {
             eprintln!(
                 "{{\"substrate\": {{\"exprs\": {}, \"expr_bytes\": {}, \"stmts\": {}, \
                  \"stmt_bytes\": {}, \"decls\": {}, \"decl_bytes\": {}, \"span_bytes\": {}, \
-                 \"arena_bytes\": {}, \"symbols\": {}, \"peak_rss_bytes\": {}}}, \
+                 \"arena_bytes\": {}, \"symbols\": {}, \"frontend_jobs\": {}, \
+                 \"typedef_reparses\": {}, \"peak_rss_bytes\": {}}}, \
                  \"cwe_counts\": {{{cwe_counts}}}}}",
                 sub.arena.exprs,
                 sub.arena.expr_bytes,
@@ -760,6 +765,8 @@ fn main() -> ExitCode {
                 sub.arena.span_bytes,
                 sub.arena.total_bytes(),
                 sub.symbols,
+                sub.frontend_jobs,
+                sub.typedef_reparses,
                 rss.map_or_else(|| "null".to_owned(), |b| b.to_string()),
             );
         } else {
@@ -775,6 +782,10 @@ fn main() -> ExitCode {
                 sub.arena.total_bytes(),
             );
             eprintln!("rlclint: interner: {} symbols", sub.symbols);
+            eprintln!(
+                "rlclint: front end: {} jobs, {} typedef re-parses",
+                sub.frontend_jobs, sub.typedef_reparses
+            );
             if let Some(b) = rss {
                 eprintln!("rlclint: peak RSS: {} KiB", b / 1024);
             }

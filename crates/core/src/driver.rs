@@ -5,15 +5,17 @@
 
 use crate::annotate::{apply_annotations, PlacedAnnotation};
 use crate::flags::Flags;
+use crate::frontend::{collect_typedef_names, parse_roots};
 use crate::incremental::IncrementalSession;
 use crate::render::RenderedDiagnostic;
 use crate::stdlib::STDLIB_SOURCE;
 use crate::suppress::SuppressionSet;
 use lclint_analysis::cache::{check_program_cached, options_digest, CacheStats};
-use lclint_analysis::{check_program, infer_annotations, DiagKind, Diagnostic};
+use lclint_analysis::{check_program, effective_jobs, infer_annotations, DiagKind, Diagnostic};
 use lclint_sema::Program;
+use lclint_syntax::fx::FxHashSet;
 use lclint_syntax::lexer::ControlComment;
-use lclint_syntax::pp::{preprocess, MemoryProvider};
+use lclint_syntax::pp::{preprocess, BorrowedProvider};
 use lclint_syntax::span::{SourceMap, Span};
 use lclint_syntax::stable_hash::StableHasher;
 use lclint_syntax::{Parser, Result, Symbol, SyntaxError, TranslationUnit};
@@ -48,7 +50,7 @@ fn cached_stdlib() -> std::result::Result<&'static StdlibCache, &'static SyntaxE
     let slot = STDLIB_CACHE.get_or_init(|| {
         initializing = true;
         let mut sm = SourceMap::new();
-        let mut p = MemoryProvider::new();
+        let mut p = BorrowedProvider::default();
         p.insert("<stdlib>", STDLIB_SOURCE);
         let out = preprocess("<stdlib>", &p, &mut sm)?;
         let unit = Parser::new(out.tokens).parse_translation_unit()?;
@@ -61,14 +63,21 @@ fn cached_stdlib() -> std::result::Result<&'static StdlibCache, &'static SyntaxE
     slot.as_ref()
 }
 
-/// Substrate counters: the flat-arena footprint of every parsed unit and
-/// the process-wide interner size. Reported by `--stats`.
+/// Substrate counters: the flat-arena footprint of every parsed unit, the
+/// process-wide interner size, and how the front end ran. Reported by
+/// `--stats`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SubstrateStats {
     /// Aggregated node-arena sizes across the run's units (stdlib included).
     pub arena: lclint_syntax::ast::ArenaStats,
     /// Interned symbols alive in the process after the run.
     pub symbols: usize,
+    /// Threads that preprocessed and parsed the roots of the last build.
+    pub frontend_jobs: usize,
+    /// Roots of the last build parsed twice because their speculative
+    /// parse looked up a typedef an earlier root declares. Deterministic:
+    /// the same for every `frontend_jobs`.
+    pub typedef_reparses: usize,
 }
 
 /// Peak resident set size of this process in bytes (`VmHWM`), when the
@@ -134,6 +143,9 @@ pub(crate) struct BuiltProgram {
     pub(crate) root_syntax_diags: Vec<Vec<Diagnostic>>,
     /// Typedef names accumulated across units, in registration order.
     pub(crate) typedefs: Vec<Symbol>,
+    /// The names of `typedefs` that precede every root (standard library
+    /// and interface libraries): the set every root parse borrows.
+    pub(crate) inherited: FxHashSet<String>,
     /// Length of `typedefs` before each root's unit was parsed.
     pub(crate) typedef_prefix: Vec<usize>,
     /// `program.defs.len()` marks: `def_counts[0]` after the stdlib,
@@ -309,38 +321,23 @@ impl Linter {
 
     /// Preprocesses and parses everything (stdlib, libraries, roots) and
     /// builds the resolved program. Shared by checking, inference, and the
-    /// incremental session.
+    /// incremental session. `jobs` sizes the root front end (0 = all
+    /// cores); the result is identical for every value.
     pub(crate) fn build_program(
         &self,
         files: &[(String, String)],
         roots: &[String],
+        jobs: usize,
     ) -> Result<BuiltProgram> {
-        let mut provider = MemoryProvider::new();
-        for (n, t) in files {
-            provider.insert(n.clone(), t.clone());
-        }
+        let provider = BorrowedProvider::new(files);
         let mut sm = SourceMap::new();
         let mut units: Vec<TranslationUnit> = Vec::new();
         let mut pre_root_diags: Vec<Diagnostic> = Vec::new();
-        let mut root_file_plans: Vec<Vec<lclint_syntax::FileId>> = Vec::new();
-        let mut root_controls: Vec<Vec<ControlComment>> = Vec::new();
-        let mut root_syntax_diags: Vec<Vec<Diagnostic>> = Vec::new();
-        let mut typedef_prefix: Vec<usize> = Vec::new();
         // Typedef names accumulate across units so that interface libraries
         // (which carry type definitions like LCLint's .lcs files) make their
         // types usable in later translation units.
         let mut typedefs: Vec<Symbol> = Vec::new();
         let parse_start = std::time::Instant::now();
-
-        let parse_unit = |tokens, typedefs: &mut Vec<Symbol>| -> Result<TranslationUnit> {
-            let mut parser = Parser::new(tokens);
-            for t in typedefs.iter() {
-                parser.add_typedef(t.as_str());
-            }
-            let tu = parser.parse_translation_unit()?;
-            typedefs.extend(collect_typedef_names(&tu));
-            Ok(tu)
-        };
 
         // The standard library is itself just an annotated source file. Its
         // parse never changes, so every run after the first reuses the
@@ -370,54 +367,25 @@ impl Linter {
                 }
             }
         }
+        let mut inherited: FxHashSet<String> =
+            typedefs.iter().map(|t| t.as_str().to_owned()).collect();
         // Interface libraries are trusted configuration, not checked input:
         // a broken library stays a hard error.
         for (name, text) in &self.libraries {
-            let mut p = MemoryProvider::new();
-            p.insert(name.clone(), text.clone());
+            let mut p = BorrowedProvider::default();
+            p.insert(name, text);
             let out = preprocess(name, &p, &mut sm)?;
-            units.push(parse_unit(out.tokens, &mut typedefs)?);
+            let tu = Parser::with_inherited(out.tokens, &inherited).parse_translation_unit()?;
+            let names = collect_typedef_names(&tu);
+            inherited.extend(names.iter().map(|t| t.as_str().to_owned()));
+            typedefs.extend(names);
+            units.push(tu);
         }
         let root_start = units.len();
-        for root in roots {
-            typedef_prefix.push(typedefs.len());
-            let mut root_diags: Vec<Diagnostic> = Vec::new();
-            let files_before = sm.len();
-            match preprocess(root, &provider, &mut sm) {
-                Ok(out) => {
-                    root_controls.push(out.controls);
-                    let mut parser = Parser::new(out.tokens);
-                    for t in typedefs.iter() {
-                        parser.add_typedef(t.as_str());
-                    }
-                    let (tu, errors) = parser.parse_translation_unit_recovering();
-                    typedefs.extend(collect_typedef_names(&tu));
-                    for e in errors {
-                        root_diags.push(Diagnostic::new(
-                            DiagKind::SyntaxError,
-                            format!("Parse error: {}", e.message),
-                            e.span,
-                        ));
-                    }
-                    units.push(tu);
-                }
-                Err(e) => {
-                    // Lexing or preprocessing failed — nothing survives from
-                    // this root. Report it and keep the batch alive with an
-                    // empty unit so the other roots are still checked.
-                    root_controls.push(Vec::new());
-                    root_diags.push(Diagnostic::new(
-                        DiagKind::SyntaxError,
-                        format!("Parse error: {}", e.message),
-                        e.span,
-                    ));
-                    units.push(TranslationUnit::default());
-                }
-            }
-            root_syntax_diags.push(root_diags);
-            root_file_plans
-                .push((files_before..sm.len()).map(|i| lclint_syntax::FileId(i as u32)).collect());
-        }
+        let frontend_jobs = effective_jobs(jobs, roots.len());
+        let parsed =
+            parse_roots(roots, &provider, &mut sm, &inherited, &mut typedefs, frontend_jobs);
+        units.extend(parsed.units);
         let parse_ms = parse_start.elapsed().as_secs_f64() * 1000.0;
 
         let sema_start = std::time::Instant::now();
@@ -433,7 +401,11 @@ impl Linter {
         }
         let sema_ms = sema_start.elapsed().as_secs_f64() * 1000.0;
 
-        let mut substrate = SubstrateStats::default();
+        let mut substrate = SubstrateStats {
+            frontend_jobs,
+            typedef_reparses: parsed.typedef_reparses,
+            ..SubstrateStats::default()
+        };
         let mut stdlib_arena = lclint_syntax::ast::ArenaStats::default();
         if let Some(u) = stdlib_unit {
             stdlib_arena.absorb(&u.arena.stats());
@@ -443,9 +415,9 @@ impl Linter {
             substrate.arena.absorb(&u.arena.stats());
         }
         substrate.symbols = lclint_syntax::intern::symbol_count();
-        let controls = root_controls.iter().flatten().cloned().collect();
+        let controls = parsed.controls.iter().flatten().cloned().collect();
         let syntax_diags =
-            pre_root_diags.iter().chain(root_syntax_diags.iter().flatten()).cloned().collect();
+            pre_root_diags.iter().chain(parsed.syntax_diags.iter().flatten()).cloned().collect();
         Ok(BuiltProgram {
             program,
             sm,
@@ -457,12 +429,13 @@ impl Linter {
             sema_ms,
             substrate,
             stdlib_arena,
-            root_file_plans,
-            root_controls,
+            root_file_plans: parsed.file_plans,
+            root_controls: parsed.controls,
             pre_root_diags,
-            root_syntax_diags,
+            root_syntax_diags: parsed.syntax_diags,
             typedefs,
-            typedef_prefix,
+            inherited,
+            typedef_prefix: parsed.typedef_prefix,
             def_counts,
         })
     }
@@ -484,7 +457,7 @@ impl Linter {
     ) -> Result<CheckResult> {
         let BuiltProgram {
             program, sm, controls, syntax_diags, parse_ms, sema_ms, substrate, ..
-        } = self.build_program(files, roots)?;
+        } = self.build_program(files, roots, self.flags.analysis.jobs)?;
         let sema_errors: Vec<String> = program
             .errors
             .iter()
@@ -565,7 +538,7 @@ impl Linter {
         files: &[(String, String)],
         roots: &[String],
     ) -> Result<InferOutcome> {
-        let built = self.build_program(files, roots)?;
+        let built = self.build_program(files, roots, self.flags.analysis.jobs)?;
         let sema_errors: Vec<String> = built
             .program
             .errors
@@ -592,25 +565,6 @@ impl Linter {
             sema_errors,
         })
     }
-}
-
-/// Names introduced by `typedef` declarations in a unit.
-fn collect_typedef_names(tu: &TranslationUnit) -> Vec<Symbol> {
-    use lclint_syntax::ast::{Item, StorageClass};
-    let mut names = Vec::new();
-    for item in &tu.items {
-        if let Item::Decl(d) = item {
-            let d = tu.arena.decl(*d);
-            if d.specs.storage == Some(StorageClass::Typedef) {
-                for id in &d.declarators {
-                    if let Some(n) = id.declarator.name {
-                        names.push(n);
-                    }
-                }
-            }
-        }
-    }
-    names
 }
 
 #[cfg(test)]

@@ -1,0 +1,408 @@
+//! The front end of a build: preprocess and parse every root translation
+//! unit, on up to `jobs` worker threads, with output identical to one
+//! thread doing the roots in order.
+//!
+//! Two things make the serial order observable, and both are kept:
+//!
+//! - **File ids.** A serial run registers each root's files in the shared
+//!   [`SourceMap`] right after the previous root's. A worker preprocesses
+//!   its root into a fresh, root-local map and then *claims* ids in root
+//!   order: it waits until root `k - 1` has claimed, appends its files with
+//!   [`SourceMap::append`], and shifts every span it holds by the returned
+//!   base. Ids, per-root file plans and the diagnostic sort order come out
+//!   as in the serial run.
+//! - **Typedef names.** A serial parse of root `k` knows the typedefs of
+//!   every earlier root (`P_k`). A worker cannot wait for those, so it
+//!   parses *speculatively* against the inherited names only (built-ins,
+//!   standard library, interface libraries), borrowed and never copied,
+//!   and records its *misses*: every identifier a typedef lookup answered
+//!   "no" for. Units are committed in root order; when root `k`'s misses
+//!   meet `P_k` the root is preprocessed again, rebased onto the ids it
+//!   already claimed, and re-parsed against the inherited names plus `P_k`
+//!   (a *typedef re-parse*). Otherwise the speculative unit is kept: the
+//!   typedef set only ever grows, so every lookup in that parse got the
+//!   answer the serial parse would have got, and the units are identical.
+
+use lclint_analysis::{DiagKind, Diagnostic};
+use lclint_syntax::fx::FxHashSet;
+use lclint_syntax::lexer::ControlComment;
+use lclint_syntax::parser::{on_parse_stack, ParseOutcome, PARSE_STACK};
+use lclint_syntax::pp::{preprocess, BorrowedProvider};
+use lclint_syntax::span::{FileId, SourceMap};
+use lclint_syntax::{Parser, Symbol, SyntaxError, TranslationUnit};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard};
+
+/// Every root's contribution, in root order.
+#[derive(Default)]
+pub(crate) struct Roots {
+    /// One unit per root; a root that failed to preprocess gets an empty
+    /// one so indices stay aligned.
+    pub(crate) units: Vec<TranslationUnit>,
+    /// File ids each root registered, in registration order.
+    pub(crate) file_plans: Vec<Vec<FileId>>,
+    /// Control comments each root contributed.
+    pub(crate) controls: Vec<Vec<ControlComment>>,
+    /// Recovered parse / preprocess diagnostics per root.
+    pub(crate) syntax_diags: Vec<Vec<Diagnostic>>,
+    /// Length of the run's typedef list before each root was committed.
+    pub(crate) typedef_prefix: Vec<usize>,
+    /// Roots whose speculative parse met an earlier root's typedef.
+    pub(crate) typedef_reparses: usize,
+}
+
+/// Preprocesses and parses `roots` on `jobs` worker threads, registering
+/// their files in `sm` and appending the typedef names they declare to
+/// `typedefs`, exactly as a serial run in root order would. `inherited`
+/// holds every name `typedefs` held on entry.
+pub(crate) fn parse_roots(
+    roots: &[String],
+    provider: &BorrowedProvider<'_>,
+    sm: &mut SourceMap,
+    inherited: &FxHashSet<String>,
+    typedefs: &mut Vec<Symbol>,
+    jobs: usize,
+) -> Roots {
+    let front = FrontEnd { provider, inherited };
+    let claims = Claims {
+        state: Mutex::new(ClaimState { next: 0, sm: std::mem::take(sm), abandoned: false }),
+        turn: Condvar::new(),
+    };
+    let next = AtomicUsize::new(0);
+    let per_worker: Vec<Vec<(usize, RootParse)>> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..jobs)
+            .map(|_| {
+                let (front, claims, next) = (&front, &claims, &next);
+                std::thread::Builder::new()
+                    .name("lclint-frontend".to_owned())
+                    .stack_size(PARSE_STACK)
+                    .spawn_scoped(s, move || {
+                        let _guard = AbandonOnPanic(claims);
+                        let mut done = Vec::new();
+                        loop {
+                            let k = next.fetch_add(1, Ordering::Relaxed);
+                            let Some(root) = roots.get(k) else { break done };
+                            // Root 0 has no earlier typedefs to miss.
+                            let claim = |local| claims.claim(k, local);
+                            done.push((k, front.parse(root, &[], claim, k > 0)));
+                        }
+                    })
+                    .expect("spawn front-end worker")
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
+            .collect()
+    });
+    *sm = claims.state.into_inner().unwrap_or_else(|e| e.into_inner()).sm;
+    let mut slots: Vec<Option<RootParse>> = (0..roots.len()).map(|_| None).collect();
+    for (k, parsed) in per_worker.into_iter().flatten() {
+        slots[k] = Some(parsed);
+    }
+    let mut commit = Commit {
+        out: Roots::default(),
+        declared: FxHashSet::default(),
+        inherited_len: typedefs.len(),
+    };
+    for (root, parsed) in roots.iter().zip(slots) {
+        commit.root(root, parsed.expect("every root parsed"), &front, typedefs);
+    }
+    commit.out
+}
+
+/// What the workers share: where files come from, and the inherited
+/// typedef names.
+struct FrontEnd<'a> {
+    provider: &'a BorrowedProvider<'a>,
+    inherited: &'a FxHashSet<String>,
+}
+
+/// One root after preprocessing, claiming file ids and parsing.
+struct RootParse {
+    /// The id of the root's first file; `files` ids from here are its.
+    base: u32,
+    files: u32,
+    controls: Vec<ControlComment>,
+    /// The parse, or the preprocessing error that left nothing to parse.
+    outcome: Result<ParseOutcome, SyntaxError>,
+}
+
+impl FrontEnd<'_> {
+    /// Preprocesses `root` into a local map, hands the map to `claim` for
+    /// the base of its ids, and parses the rebased tokens against the
+    /// inherited names plus `extra`, recording the typedef misses when
+    /// `speculative`. The calling thread must have a [`PARSE_STACK`] stack.
+    fn parse(
+        &self,
+        root: &str,
+        extra: &[Symbol],
+        claim: impl FnOnce(SourceMap) -> u32,
+        speculative: bool,
+    ) -> RootParse {
+        let mut local = SourceMap::new();
+        let pp = preprocess(root, self.provider, &mut local);
+        let files = local.len() as u32;
+        let base = claim(local);
+        let (controls, outcome) = match pp {
+            Ok(out) => {
+                let mut tokens = out.tokens;
+                for t in &mut tokens {
+                    t.span = t.span.rebased(base);
+                }
+                let mut controls = out.controls;
+                for c in &mut controls {
+                    c.span = c.span.rebased(base);
+                }
+                let mut parser = Parser::with_inherited(tokens, self.inherited);
+                if speculative {
+                    parser = parser.record_misses();
+                }
+                for t in extra {
+                    parser.add_typedef(t.as_str());
+                }
+                (controls, Ok(parser.parse_recovering_here()))
+            }
+            Err(e) => (Vec::new(), Err(SyntaxError { span: e.span.rebased(base), ..e })),
+        };
+        RootParse { base, files, controls, outcome }
+    }
+}
+
+/// The in-order commit of parsed roots.
+struct Commit {
+    out: Roots,
+    /// Typedef names declared by the roots committed so far (`P_k`).
+    declared: FxHashSet<&'static str>,
+    /// Length of the run's typedef list before the first root: the
+    /// entries after it are `P_k`.
+    inherited_len: usize,
+}
+
+impl Commit {
+    fn root(
+        &mut self,
+        root: &str,
+        mut parsed: RootParse,
+        front: &FrontEnd<'_>,
+        typedefs: &mut Vec<Symbol>,
+    ) {
+        let out = &mut self.out;
+        out.typedef_prefix.push(typedefs.len());
+        let mut diags = Vec::new();
+        if let Ok(spec) = &parsed.outcome {
+            if spec.misses.iter().any(|m| self.declared.contains(m.as_str())) {
+                let (base, earlier) = (parsed.base, &typedefs[self.inherited_len..]);
+                parsed = on_parse_stack(|| front.parse(root, earlier, |_| base, false));
+                out.typedef_reparses += 1;
+            }
+        }
+        let unit = match parsed.outcome {
+            Ok(p) => {
+                let names = collect_typedef_names(&p.unit);
+                self.declared.extend(names.iter().map(|n| n.as_str()));
+                typedefs.extend(names);
+                diags.extend(p.errors.into_iter().map(parse_error));
+                p.unit
+            }
+            // Lexing or preprocessing failed — nothing survives from this
+            // root. Report it and keep the batch alive with an empty unit
+            // so the other roots are still checked.
+            Err(e) => {
+                diags.push(parse_error(e));
+                TranslationUnit::default()
+            }
+        };
+        out.units.push(unit);
+        out.controls.push(parsed.controls);
+        out.syntax_diags.push(diags);
+        out.file_plans.push((parsed.base..parsed.base + parsed.files).map(FileId).collect());
+    }
+}
+
+fn parse_error(e: SyntaxError) -> Diagnostic {
+    Diagnostic::new(DiagKind::SyntaxError, format!("Parse error: {}", e.message), e.span)
+}
+
+/// The shared source map while workers claim ids, and whose turn it is.
+struct ClaimState {
+    next: usize,
+    sm: SourceMap,
+    /// A worker panicked, so some root will never claim.
+    abandoned: bool,
+}
+
+struct Claims {
+    state: Mutex<ClaimState>,
+    turn: Condvar,
+}
+
+impl Claims {
+    /// Every update under the lock is one `append` plus an increment, so a
+    /// lock poisoned by a panicking worker still guards a consistent map.
+    fn lock(&self) -> MutexGuard<'_, ClaimState> {
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Appends root `k`'s local map once roots `0..k` have claimed, and
+    /// returns the base of its ids.
+    fn claim(&self, k: usize, local: SourceMap) -> u32 {
+        let mut st = self.lock();
+        while st.next != k {
+            assert!(!st.abandoned, "another front-end worker panicked");
+            st = self.turn.wait(st).unwrap_or_else(|e| e.into_inner());
+        }
+        let base = st.sm.append(local);
+        st.next += 1;
+        self.turn.notify_all();
+        base
+    }
+}
+
+/// Wakes the other workers when this one unwinds, so none of them waits
+/// forever for a root this worker will never claim.
+struct AbandonOnPanic<'a>(&'a Claims);
+
+impl Drop for AbandonOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.lock().abandoned = true;
+            self.0.turn.notify_all();
+        }
+    }
+}
+
+/// Names introduced by top-level `typedef` declarations in a unit.
+pub(crate) fn collect_typedef_names(tu: &TranslationUnit) -> Vec<Symbol> {
+    use lclint_syntax::ast::{Item, StorageClass};
+    let mut names = Vec::new();
+    for item in &tu.items {
+        if let Item::Decl(d) = item {
+            let d = tu.arena.decl(*d);
+            if d.specs.storage == Some(StorageClass::Typedef) {
+                for id in &d.declarators {
+                    if let Some(n) = id.declarator.name {
+                        names.push(n);
+                    }
+                }
+            }
+        }
+    }
+    names
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::driver::{BuiltProgram, CheckResult};
+    use crate::flags::Flags;
+    use crate::session::Session;
+    use crate::Linter;
+    use lclint_syntax::span::{FileId, SourceMap};
+
+    /// Five roots covering every way the front end can go off the serial
+    /// path: a typedef declared only by an earlier root, a header shared by
+    /// two roots, a missing include, a recovered parse error in a middle
+    /// root, and a suppression comment in the last root.
+    fn corpus() -> (Vec<(String, String)>, Vec<String>) {
+        let files = [
+            (
+                "common.h",
+                "#ifndef COMMON_H\n#define COMMON_H\nextern /*@only@*/ char *mk(void);\n#endif\n",
+            ),
+            (
+                "list.c",
+                "#include \"common.h\"\ntypedef struct cell { int v; } *cell_t;\n\
+                 void keep(void)\n{\n  char *p = mk();\n  free(p);\n}\n",
+            ),
+            (
+                "user.c",
+                "#include \"common.h\"\nvoid use(cell_t c)\n{\n  char *q = mk();\n  \
+                 if (c != 0) { c->v = 1; }\n}\n",
+            ),
+            ("broken.c", "int bad = ;\nvoid leak2(void)\n{\n  char *r = (char *) malloc(4);\n}\n"),
+            ("missing.c", "#include \"nope.h\"\nint z;\n"),
+            ("last.c", "void quiet(void)\n{\n  /*@i@*/ char *s = (char *) malloc(2);\n}\n"),
+        ];
+        let files: Vec<(String, String)> =
+            files.iter().map(|(n, t)| ((*n).to_owned(), (*t).to_owned())).collect();
+        let roots = ["list.c", "user.c", "broken.c", "missing.c", "last.c"];
+        (files, roots.iter().map(|r| (*r).to_owned()).collect())
+    }
+
+    fn linter(jobs: usize) -> Linter {
+        let mut flags = Flags::default();
+        flags.analysis.jobs = jobs;
+        Linter::new(flags)
+    }
+
+    fn names(sm: &SourceMap) -> Vec<String> {
+        (0..sm.len() as u32).map(|i| sm.name(FileId(i)).to_owned()).collect()
+    }
+
+    /// Everything observable about one run, for comparison across runs.
+    fn observed(r: &CheckResult, plans: &[Vec<FileId>]) -> String {
+        format!(
+            "{}|{:?}|{}|{:?}|{:?}|{}",
+            r.render(),
+            r.sema_errors,
+            r.suppressed,
+            names(&r.source_map),
+            plans,
+            r.substrate.typedef_reparses
+        )
+    }
+
+    #[test]
+    fn every_job_count_and_a_session_match_the_serial_front_end() {
+        let (files, roots) = corpus();
+        let built: BuiltProgram = linter(1).build_program(&files, &roots, 1).unwrap();
+        let serial = linter(1).check_files(&files, &roots).unwrap();
+        assert_eq!(serial.substrate.frontend_jobs, 1);
+        assert_eq!(serial.substrate.typedef_reparses, 1, "user.c needs list.c's cell_t");
+        assert_eq!(serial.suppressed, 1, "{}", serial.render());
+        // user.c parses cleanly (it was re-parsed with list.c's `cell_t`),
+        // broken.c resumes after its error, missing.c is an empty unit
+        // with a diagnostic, and last.c's leak is suppressed.
+        assert_eq!(
+            serial.render(),
+            "user.c:4: Fresh storage q not released before scope exit [CWE-401]\n\
+             \u{20}  user.c:4: Storage q allocated\n\
+             broken.c:1: Parse error: expected expression, found `;`\n\
+             broken.c:4: Fresh storage r not released before scope exit [CWE-401]\n\
+             \u{20}  broken.c:4: Storage r allocated\n\
+             missing.c:1: Parse error: cannot open include file `nope.h`\n"
+        );
+        assert_eq!(built.units[built.root_start + 3].items.len(), 0, "missing.c is empty");
+        // The shared header is registered once per including root.
+        assert_eq!(
+            names(&built.sm),
+            [
+                "<stdlib>",
+                "list.c",
+                "common.h",
+                "user.c",
+                "common.h",
+                "broken.c",
+                "missing.c",
+                "last.c"
+            ]
+        );
+        let plans: Vec<Vec<u32>> =
+            built.root_file_plans.iter().map(|p| p.iter().map(|f| f.0).collect()).collect();
+        assert_eq!(plans, [vec![1, 2], vec![3, 4], vec![5], vec![6], vec![7]]);
+        let expected = observed(&serial, &built.root_file_plans);
+
+        for jobs in [2, 4] {
+            let built = linter(jobs).build_program(&files, &roots, jobs).unwrap();
+            let r = linter(jobs).check_files(&files, &roots).unwrap();
+            assert_eq!(r.substrate.frontend_jobs, jobs);
+            assert_eq!(observed(&r, &built.root_file_plans), expected, "jobs {jobs}");
+        }
+        for jobs in [1, 2, 4] {
+            let mut s = Session::new(linter(jobs), files.clone(), roots.clone());
+            let r = s.check(None).unwrap();
+            let plans = s.root_file_plans().expect("warm state").to_vec();
+            assert_eq!(observed(&r, &plans), expected, "session, jobs {jobs}");
+        }
+    }
+}

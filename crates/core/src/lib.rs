@@ -22,6 +22,7 @@
 pub mod annotate;
 pub mod driver;
 pub mod flags;
+mod frontend;
 pub mod incremental;
 pub mod library;
 pub mod render;

@@ -31,7 +31,7 @@ use lclint_sema::Program;
 use lclint_syntax::ast::{Item, TranslationUnit};
 use lclint_syntax::fx::FxHashSet;
 use lclint_syntax::lexer::ControlComment;
-use lclint_syntax::pp::{preprocess, MemoryProvider};
+use lclint_syntax::pp::{preprocess, BorrowedProvider};
 use lclint_syntax::span::{FileId, SourceMap, Span};
 use lclint_syntax::{pretty_print_declaration, pretty_print_function, Parser, Result, Symbol};
 use std::io;
@@ -51,7 +51,12 @@ struct State {
     pre_root_diags: Vec<Diagnostic>,
     root_syntax_diags: Vec<Vec<Diagnostic>>,
     typedefs: Vec<Symbol>,
+    /// Typedef names every root parse borrows (stdlib and libraries).
+    inherited: FxHashSet<String>,
     typedef_prefix: Vec<usize>,
+    /// Front-end counters of the last full build.
+    frontend_jobs: usize,
+    typedef_reparses: usize,
     stdlib_arena: lclint_syntax::ast::ArenaStats,
     /// Per-definition diagnostics from the last check, in definition order.
     def_diags: Vec<Vec<Diagnostic>>,
@@ -358,6 +363,12 @@ impl Session {
         }
     }
 
+    /// The file ids each root registered in the warm state's source map.
+    #[cfg(test)]
+    pub(crate) fn root_file_plans(&self) -> Option<&[Vec<FileId>]> {
+        self.state.as_ref().map(|st| st.root_file_plans.as_slice())
+    }
+
     fn opts(&self, jobs: Option<usize>) -> AnalysisOptions {
         let mut opts = self.linter.flags.analysis.clone();
         if let Some(j) = jobs {
@@ -371,8 +382,8 @@ impl Session {
     /// back here whenever a precondition fails.
     fn rebuild(&mut self, jobs: Option<usize>) -> Result<()> {
         self.rebuilds += 1;
-        let bp: BuiltProgram = self.linter.build_program(&self.files, &self.roots)?;
         let opts = self.opts(jobs);
+        let bp: BuiltProgram = self.linter.build_program(&self.files, &self.roots, opts.jobs)?;
         let od = options_digest(&opts);
         let lib = self.linter.library_digest();
         self.inc.prepare(od, lib);
@@ -403,7 +414,10 @@ impl Session {
             pre_root_diags: bp.pre_root_diags,
             root_syntax_diags: bp.root_syntax_diags,
             typedefs: bp.typedefs,
+            inherited: bp.inherited,
             typedef_prefix: bp.typedef_prefix,
+            frontend_jobs: bp.substrate.frontend_jobs,
+            typedef_reparses: bp.substrate.typedef_reparses,
             stdlib_arena: bp.stdlib_arena,
             def_diags,
             unstable,
@@ -447,13 +461,10 @@ impl Session {
         // Re-preprocess the root over a replay: every file it registers
         // must line up with the old plan (same names, same order) so all
         // ids — and therefore every other unit's spans — stay valid.
-        let mut provider = MemoryProvider::new();
-        for (n, t) in &self.files {
-            provider.insert(n.clone(), t.clone());
-        }
+        let mut provider = BorrowedProvider::new(&self.files);
         // `new_text` wins over the canonical entry: overlay patches check
         // a text the canonical file set does not hold.
-        provider.insert(self.roots[root_idx].clone(), new_text.to_owned());
+        provider.insert(&self.roots[root_idx], new_text);
         st.sm.begin_replay(plan.clone());
         let out = match preprocess(&self.roots[root_idx], &provider, &mut st.sm) {
             Ok(out) => out,
@@ -468,9 +479,11 @@ impl Session {
             return Ok(false);
         }
 
-        // Re-parse with exactly the typedef context the old build used.
-        let mut parser = Parser::new(out.tokens);
-        for t in &st.typedefs[..st.typedef_prefix[root_idx]] {
+        // Re-parse with exactly the typedef context the old build used:
+        // the borrowed inherited names plus the typedefs of earlier roots
+        // (`typedef_prefix[0]` is where the roots' entries start).
+        let mut parser = Parser::with_inherited(out.tokens, &st.inherited);
+        for t in &st.typedefs[st.typedef_prefix[0]..st.typedef_prefix[root_idx]] {
             parser.add_typedef(t.as_str());
         }
         let (new_tu, errors) = parser.parse_translation_unit_recovering();
@@ -669,7 +682,11 @@ impl Session {
                 *self.last_cwe_counts.entry(id).or_insert(0) += 1;
             }
         }
-        let mut substrate = SubstrateStats::default();
+        let mut substrate = SubstrateStats {
+            frontend_jobs: st.frontend_jobs,
+            typedef_reparses: st.typedef_reparses,
+            ..SubstrateStats::default()
+        };
         substrate.arena.absorb(&st.stdlib_arena);
         for u in &st.units {
             substrate.arena.absorb(&u.arena.stats());

@@ -44,7 +44,9 @@ pub use error::{Result, SyntaxError};
 pub use intern::{interned_bytes, sym, symbol_count, Symbol};
 pub use lexer::{ControlComment, ControlKind, Lexer};
 pub use parser::Parser;
-pub use pp::{DiskProvider, FileProvider, MemoryProvider, PpOutput, Preprocessor};
+pub use pp::{
+    BorrowedProvider, DiskProvider, FileProvider, MemoryProvider, PpOutput, Preprocessor,
+};
 pub use pretty::{
     pretty_print, pretty_print_declaration, pretty_print_field, pretty_print_function,
 };

@@ -10,10 +10,11 @@
 use crate::annot::{Annot, AnnotSet};
 use crate::ast::*;
 use crate::error::{Result, SyntaxError};
+use crate::fx::FxHashSet;
 use crate::intern::Symbol;
 use crate::span::Span;
 use crate::token::{Keyword as Kw, Punct, Token, TokenKind};
-use std::collections::HashSet;
+use std::cell::RefCell;
 use std::sync::Arc;
 
 /// Maximum recursive-descent nesting depth (expressions, statements,
@@ -22,53 +23,104 @@ use std::sync::Arc;
 /// instead of overflowing the stack.
 const MAX_NESTING_DEPTH: u32 = 256;
 
-/// Stack size for the dedicated parse thread. Recursive descent in an
-/// unoptimized build burns tens of kilobytes of stack per nesting level, so
-/// legal inputs near [`MAX_NESTING_DEPTH`] need far more head-room than the
-/// 2 MiB default of Rust test threads; a fixed large stack plus the depth
-/// cap bounds worst-case consumption no matter which thread the caller
-/// parses from.
-const PARSE_STACK: usize = 64 * 1024 * 1024;
+/// Stack size a parse needs. Recursive descent in an unoptimized build
+/// burns tens of kilobytes of stack per nesting level, so legal inputs near
+/// [`MAX_NESTING_DEPTH`] need far more head-room than the 2 MiB default of
+/// Rust test threads; a fixed large stack plus the depth cap bounds
+/// worst-case consumption no matter which thread the caller parses from.
+/// Threads that call [`Parser::parse_recovering_here`] must be spawned
+/// with at least this much stack.
+pub const PARSE_STACK: usize = 64 * 1024 * 1024;
 
 /// Runs `f` on a thread with [`PARSE_STACK`] bytes of stack, propagating
-/// panics to the caller.
-fn on_parse_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
-    let handle = std::thread::Builder::new()
-        .name("rlclint-parse".into())
-        .stack_size(PARSE_STACK)
-        .spawn(f)
-        .expect("spawn parse thread");
-    match handle.join() {
-        Ok(v) => v,
-        Err(payload) => std::panic::resume_unwind(payload),
-    }
+/// panics to the caller. `f` may borrow from the caller's frame.
+pub fn on_parse_stack<T: Send>(f: impl FnOnce() -> T + Send) -> T {
+    std::thread::scope(|s| {
+        let handle = std::thread::Builder::new()
+            .name("rlclint-parse".into())
+            .stack_size(PARSE_STACK)
+            .spawn_scoped(s, f)
+            .expect("spawn parse thread");
+        match handle.join() {
+            Ok(v) => v,
+            Err(payload) => std::panic::resume_unwind(payload),
+        }
+    })
 }
 
-/// The parser.
-pub struct Parser {
+/// Typedef names `size_t` and friends, treated as built in so that
+/// standard-library signatures parse without headers.
+const BUILTIN_TYPEDEFS: [&str; 5] = ["size_t", "FILE", "va_list", "bool_", "ptrdiff_t"];
+
+/// What [`Parser::parse_recovering_here`] produces.
+#[derive(Debug)]
+pub struct ParseOutcome {
+    /// Everything that parsed cleanly.
+    pub unit: TranslationUnit,
+    /// Every recovered syntax error.
+    pub errors: Vec<SyntaxError>,
+    /// Identifiers whose typedef lookup answered "not a typedef name" at
+    /// least once (see [`Parser::record_misses`]); empty unless recorded.
+    pub misses: FxHashSet<String>,
+}
+
+/// The parser. `'t` borrows an inherited typedef-name set (see
+/// [`Parser::with_inherited`]).
+pub struct Parser<'t> {
     toks: Vec<Token>,
     pos: usize,
-    typedefs: HashSet<String>,
+    /// Typedef names registered on this parser: the built-ins, every
+    /// [`Parser::add_typedef`], and the typedefs the input declares.
+    typedefs: FxHashSet<String>,
+    /// Typedef names shared with other parsers, consulted but never copied.
+    inherited: Option<&'t FxHashSet<String>>,
+    /// Typedef lookups that answered false, when recording.
+    misses: Option<RefCell<FxHashSet<String>>>,
     depth: u32,
     ast: Ast,
 }
 
-impl Parser {
+impl<'t> Parser<'t> {
     /// Creates a parser over a preprocessed token stream (must end in `Eof`).
     pub fn new(toks: Vec<Token>) -> Self {
-        let mut typedefs = HashSet::new();
-        // `size_t` and friends are treated as built-in typedef names so
-        // standard-library signatures parse without headers.
-        for t in ["size_t", "FILE", "va_list", "bool_", "ptrdiff_t"] {
-            typedefs.insert(t.to_owned());
-        }
+        let typedefs = BUILTIN_TYPEDEFS.iter().map(|t| (*t).to_owned()).collect();
         let ast = Ast::with_estimated_capacity(toks.len());
-        Parser { toks, pos: 0, typedefs, depth: 0, ast }
+        Parser { toks, pos: 0, typedefs, inherited: None, misses: None, depth: 0, ast }
+    }
+
+    /// Creates a parser whose typedef lookups also consult `inherited`:
+    /// names declared by earlier units, shared by reference between any
+    /// number of parsers instead of being re-registered on each.
+    pub fn with_inherited(toks: Vec<Token>, inherited: &'t FxHashSet<String>) -> Self {
+        Parser { inherited: Some(inherited), ..Parser::new(toks) }
+    }
+
+    /// Makes the parse record its typedef *misses*: every identifier whose
+    /// lookup answered "not a typedef name". A parse that is repeated with
+    /// extra typedef names follows the same path exactly when none of
+    /// those names is among the misses, because the set only ever grows.
+    pub fn record_misses(mut self) -> Self {
+        self.misses = Some(RefCell::default());
+        self
     }
 
     /// Registers an extra typedef name before parsing.
     pub fn add_typedef(&mut self, name: impl Into<String>) {
         self.typedefs.insert(name.into());
+    }
+
+    /// True when `name` is a typedef name at this point of the parse.
+    fn is_typedef(&self, name: &str) -> bool {
+        if self.typedefs.contains(name) || self.inherited.is_some_and(|s| s.contains(name)) {
+            return true;
+        }
+        if let Some(misses) = &self.misses {
+            let mut misses = misses.borrow_mut();
+            if !misses.contains(name) {
+                misses.insert(name.to_owned());
+            }
+        }
+        false
     }
 
     // -- token helpers ------------------------------------------------------
@@ -191,10 +243,15 @@ impl Parser {
     /// declaration does not discard the rest of the file. Returns whatever
     /// parsed cleanly together with every error encountered.
     pub fn parse_translation_unit_recovering(self) -> (TranslationUnit, Vec<SyntaxError>) {
-        on_parse_stack(move || self.parse_translation_unit_recovering_on_stack())
+        let out = on_parse_stack(move || self.parse_recovering_here());
+        (out.unit, out.errors)
     }
 
-    fn parse_translation_unit_recovering_on_stack(mut self) -> (TranslationUnit, Vec<SyntaxError>) {
+    /// [`Parser::parse_translation_unit_recovering`] on the calling thread,
+    /// which must have [`PARSE_STACK`] bytes of stack (see
+    /// [`on_parse_stack`]), also reporting the typedef misses when
+    /// [`Parser::record_misses`] asked for them.
+    pub fn parse_recovering_here(mut self) -> ParseOutcome {
         let mut items = Vec::new();
         let mut errors = Vec::new();
         while !self.at_eof() {
@@ -211,7 +268,8 @@ impl Parser {
                 }
             }
         }
-        (TranslationUnit { items, arena: Arc::new(self.ast) }, errors)
+        let misses = self.misses.map(RefCell::into_inner).unwrap_or_default();
+        ParseOutcome { unit: TranslationUnit { items, arena: Arc::new(self.ast) }, errors, misses }
     }
 
     /// Skips ahead to a likely top-level boundary after a parse error: the
@@ -281,7 +339,7 @@ impl Parser {
     fn register_typedef(&mut self, specs: &DeclSpecs, d: &Declarator) {
         if specs.storage == Some(StorageClass::Typedef) {
             if let Some(n) = d.name {
-                self.typedefs.insert(n.as_str().to_owned());
+                self.add_typedef(n.as_str());
             }
         }
     }
@@ -313,7 +371,7 @@ impl Parser {
                     | Kw::Auto
                     | Kw::Register
             ),
-            TokenKind::Ident(n) => self.typedefs.contains(n),
+            TokenKind::Ident(n) => self.is_typedef(n),
             TokenKind::Annot(_) => true,
             _ => false,
         }
@@ -339,7 +397,7 @@ impl Parser {
                     | Kw::Const
                     | Kw::Volatile
             ),
-            TokenKind::Ident(n) => self.typedefs.contains(n),
+            TokenKind::Ident(n) => self.is_typedef(n),
             TokenKind::Annot(_) => true,
             _ => false,
         }
@@ -432,7 +490,7 @@ impl Parser {
                     if base.is_none()
                         && size.is_none()
                         && signedness.is_none()
-                        && self.typedefs.contains(n) =>
+                        && self.is_typedef(n) =>
                 {
                     // A typedef name is only a type specifier if no other
                     // type words have been seen (so `unsigned x;` keeps `x`
@@ -713,7 +771,7 @@ impl Parser {
         let t1 = &self.peek_at(1).kind;
         match t1 {
             TokenKind::Punct(Punct::Star) => true,
-            TokenKind::Ident(n) => !self.typedefs.contains(n) || !allow_abstract,
+            TokenKind::Ident(n) => !self.is_typedef(n) || !allow_abstract,
             TokenKind::Annot(_) => true,
             _ => false,
         }
@@ -1273,6 +1331,43 @@ mod tests {
             Item::Decl(d) => tu.arena.decl(*d),
             _ => panic!("expected decl"),
         }
+    }
+
+    fn lex(src: &str) -> Vec<Token> {
+        crate::Lexer::tokenize(src, crate::FileId(0)).unwrap().0
+    }
+
+    #[test]
+    fn inherited_typedefs_are_consulted_and_misses_recorded() {
+        let src = "typedef int own; own a; void f(void) { item x; other = 1; a = (own) other; }";
+        let inherited: FxHashSet<String> = ["item".to_owned()].into_iter().collect();
+        let with = Parser::with_inherited(lex(src), &inherited).record_misses();
+        let out = on_parse_stack(move || with.parse_recovering_here());
+        assert!(out.errors.is_empty(), "{:?}", out.errors);
+        // `own` is registered by the unit itself, `item` is inherited: only
+        // identifiers that were looked up and found wanting are misses.
+        assert!(out.misses.contains("other"), "{:?}", out.misses);
+        assert!(!out.misses.contains("item") && !out.misses.contains("size_t"));
+
+        // Registering the inherited name by hand parses identically.
+        let mut copied = Parser::new(lex(src));
+        copied.add_typedef("item");
+        let (unit, errors) = copied.parse_translation_unit_recovering();
+        assert!(errors.is_empty());
+        assert_eq!(crate::pretty_print(&unit), crate::pretty_print(&out.unit));
+
+        // Without the name, `item` is a miss and the unit parses differently.
+        let plain = Parser::new(lex(src)).record_misses();
+        let out = on_parse_stack(move || plain.parse_recovering_here());
+        assert!(out.misses.contains("item"), "{:?}", out.misses);
+        assert!(!out.errors.is_empty());
+    }
+
+    #[test]
+    fn misses_are_empty_unless_recorded() {
+        let p = Parser::new(lex("int x; y z;"));
+        let out = on_parse_stack(move || p.parse_recovering_here());
+        assert!(out.misses.is_empty());
     }
 
     #[test]

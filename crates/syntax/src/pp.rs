@@ -45,6 +45,39 @@ impl FileProvider for MemoryProvider {
     }
 }
 
+/// A provider over the caller's `(name, text)` pairs, borrowed rather
+/// than copied: the only copy of a text is the one the source map keeps
+/// for a file the preprocessor actually reads. A later pair (or
+/// [`BorrowedProvider::insert`]) wins over an earlier one with the same
+/// name, as with [`MemoryProvider::insert`].
+#[derive(Debug, Clone, Default)]
+pub struct BorrowedProvider<'a> {
+    files: HashMap<&'a str, &'a str>,
+}
+
+impl<'a> BorrowedProvider<'a> {
+    /// Creates a provider over `files`.
+    pub fn new(files: &'a [(String, String)]) -> Self {
+        let mut p = BorrowedProvider { files: HashMap::with_capacity(files.len()) };
+        for (n, t) in files {
+            p.insert(n, t);
+        }
+        p
+    }
+
+    /// Adds (or replaces) a file.
+    pub fn insert(&mut self, name: &'a str, text: &'a str) -> &mut Self {
+        self.files.insert(name, text);
+        self
+    }
+}
+
+impl FileProvider for BorrowedProvider<'_> {
+    fn read_file(&self, name: &str) -> Option<String> {
+        self.files.get(name).map(|t| (*t).to_owned())
+    }
+}
+
 impl FileProvider for HashMap<String, String> {
     fn read_file(&self, name: &str) -> Option<String> {
         self.get(name).cloned()
@@ -174,8 +207,7 @@ impl<'p> Preprocessor<'p> {
             SyntaxError::new(format!("cannot open include file `{name}`"), include_site)
         })?;
         let file_id = sm.add_file(name, text);
-        let owned_text = sm.text(file_id).to_owned();
-        let (tokens, controls) = Lexer::tokenize(&owned_text, file_id)?;
+        let (tokens, controls) = Lexer::tokenize(sm.text(file_id), file_id)?;
         self.controls.extend(controls);
         self.include_stack.push(name.to_owned());
         let result = self.process_tokens(&tokens, sm);
@@ -944,6 +976,30 @@ mod tests {
         prov.insert("main.c", "#ifdef A\nint x;\n");
         let mut sm = SourceMap::new();
         assert!(preprocess("main.c", &prov, &mut sm).is_err());
+    }
+
+    #[test]
+    fn borrowed_provider_matches_memory_provider() {
+        let files = vec![
+            ("main.c".to_owned(), "#include \"h.h\"\nint tail;\n".to_owned()),
+            ("h.h".to_owned(), "int stale;\n".to_owned()),
+            ("h.h".to_owned(), "int in_header;\n".to_owned()),
+        ];
+        let mut mem = MemoryProvider::new();
+        for (n, t) in &files {
+            mem.insert(n.clone(), t.clone());
+        }
+        let borrowed = BorrowedProvider::new(&files);
+        let (mut a, mut b) = (SourceMap::new(), SourceMap::new());
+        let x = preprocess("main.c", &mem, &mut a).unwrap();
+        let y = preprocess("main.c", &borrowed, &mut b).unwrap();
+        assert_eq!(x.tokens, y.tokens);
+        assert_eq!(b.text(crate::span::FileId(1)), "int in_header;\n");
+
+        let mut overlay = BorrowedProvider::new(&files);
+        overlay.insert("main.c", "int other;\n");
+        let z = preprocess("main.c", &overlay, &mut SourceMap::new()).unwrap();
+        assert!(z.tokens.iter().any(|t| t.kind == TokenKind::Ident("other".into())));
     }
 
     #[test]

@@ -65,6 +65,16 @@ impl Span {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+
+    /// The same range with its file id shifted by `base` (synthetic spans
+    /// are unchanged): moves a span from a map that was appended with
+    /// [`SourceMap::append`] into the map that received it.
+    pub fn rebased(self, base: u32) -> Span {
+        if self.is_synthetic() {
+            return self;
+        }
+        Span { file: FileId(self.file.0 + base), ..self }
+    }
 }
 
 impl Default for Span {
@@ -207,6 +217,23 @@ impl SourceMap {
             Some(r) => !r.diverged && r.next == r.plan.len(),
             None => false,
         }
+    }
+
+    /// Moves every file of `other` to the end of this map, in order, and
+    /// returns the id offset (`base`) they were given: `other`'s file `i`
+    /// becomes file `base + i` here. Spans into `other` move over with
+    /// [`Span::rebased`]. Lets a file set be registered off to the side (on
+    /// another thread) and committed later with the ids an in-place
+    /// registration at this point would have produced.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a replay is active on either map.
+    pub fn append(&mut self, other: SourceMap) -> u32 {
+        assert!(self.replay.is_none() && other.replay.is_none(), "append during a replay");
+        let base = self.files.len() as u32;
+        self.files.extend(other.files);
+        base
     }
 
     /// Returns the full text of a file.
@@ -354,6 +381,31 @@ mod tests {
         let extra = sm.add_file("new.h", "int n;");
         assert_eq!(extra, FileId(1));
         assert!(!sm.end_replay());
+    }
+
+    #[test]
+    fn append_offsets_ids_like_in_place_registration() {
+        let mut direct = SourceMap::new();
+        direct.add_file("a.c", "int a;");
+        direct.add_file("r.c", "int r;");
+        direct.add_file("h.h", "int h;");
+
+        let mut sm = SourceMap::new();
+        sm.add_file("a.c", "int a;");
+        let mut local = SourceMap::new();
+        let r = local.add_file("r.c", "int r;");
+        local.add_file("h.h", "int h;");
+        let base = sm.append(local);
+        assert_eq!(base, 1);
+        let span = Span::new(r, 4, 5).rebased(base);
+        assert_eq!(span.file, FileId(1));
+        assert_eq!(sm.snippet(span), "r");
+        assert_eq!(Span::synthetic().rebased(base), Span::synthetic());
+        for i in 0..direct.len() as u32 {
+            assert_eq!(sm.name(FileId(i)), direct.name(FileId(i)));
+            assert_eq!(sm.text(FileId(i)), direct.text(FileId(i)));
+        }
+        assert_eq!(sm.len(), direct.len());
     }
 
     #[test]
