@@ -136,7 +136,9 @@ pub struct CacheEntry {
 /// Counters for one checking run (reset by [`CheckCache::take_stats`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Definitions whose cached result was reused.
+    /// Definitions whose cached result was reused, whether it was held in
+    /// memory or fetched from the backing store (whose own traffic
+    /// [`CasStats`](crate::castore::CasStats) counts).
     pub hits: usize,
     /// Definitions with no cache entry at all.
     pub misses: usize,
@@ -152,12 +154,6 @@ pub struct CacheStats {
     pub degraded: usize,
     /// Names of the definitions actually (re-)checked, in definition order.
     pub checked: Vec<String>,
-    /// Definitions recovered from the content-addressed backing store
-    /// (another process checked them first). Zero without a backing store.
-    pub cas_hits: usize,
-    /// Definitions probed against the backing store without a usable
-    /// artifact (then checked fresh). Zero without a backing store.
-    pub cas_misses: usize,
 }
 
 impl CacheStats {
@@ -440,23 +436,19 @@ pub fn check_program_cached_slots(
     for &i in indices {
         let def = &defs[i];
         let body_hash = function_def_hash(&def.arena, &def.ast);
-        let mut invalidated = false;
-        if let Some(entry) = cache.entries.get(&def.sig.name) {
+        // An entry is reused only when its fingerprint revalidates against
+        // the current program and every span rebases.
+        let reuse = |entry: &CacheEntry| {
             let fp = fingerprint(program, od, lib_digest, def, body_hash, &entry.deps);
-            if fp == entry.fingerprint {
-                if let Some(diags) = rebase_diags(entry, def, program) {
-                    cache.stats.hits += 1;
-                    slots[i] = Some(diags);
-                    continue;
-                }
-            }
-            invalidated = true;
-        }
+            (fp == entry.fingerprint).then(|| rebase_diags(entry, def, program)).flatten()
+        };
+        let held = cache.entries.get(&def.sig.name);
+        let invalidated = held.is_some();
+        let mut reused = held.and_then(reuse);
         // Second-level probe: the shared content-addressed store. A
         // fetched entry is held to exactly the same standard as an
-        // in-memory one — its fingerprint must revalidate against the
-        // current program before a single diagnostic is reused.
-        if let Some(store) = cache.backing.as_mut() {
+        // in-memory one, and a reused one is a hit like any other.
+        if let Some(store) = cache.backing.as_mut().filter(|_| reused.is_none()) {
             let key = crate::castore::function_key(od, lib_digest, def.sig.name, body_hash);
             let fetched = store.get(key).and_then(|payload| {
                 let mut r = payload.as_slice();
@@ -464,17 +456,16 @@ pub fn check_program_cached_slots(
                 (r.is_empty() && name == def.sig.name).then_some(entry)
             });
             if let Some(entry) = fetched {
-                let fp = fingerprint(program, od, lib_digest, def, body_hash, &entry.deps);
-                if fp == entry.fingerprint {
-                    if let Some(diags) = rebase_diags(&entry, def, program) {
-                        cache.stats.cas_hits += 1;
-                        cache.entries.insert(def.sig.name, entry);
-                        slots[i] = Some(diags);
-                        continue;
-                    }
+                reused = reuse(&entry);
+                if reused.is_some() {
+                    cache.entries.insert(def.sig.name, entry);
                 }
             }
-            cache.stats.cas_misses += 1;
+        }
+        if let Some(diags) = reused {
+            cache.stats.hits += 1;
+            slots[i] = Some(diags);
+            continue;
         }
         if invalidated {
             cache.stats.invalidations += 1;

@@ -21,18 +21,21 @@
 //!
 //! # Concurrency & trust
 //!
-//! Writers are *processes*, not just threads: every `put` writes the full
-//! artifact to a uniquely named temporary file (pid + process-wide counter)
-//! and renames it into place. Rename is atomic on POSIX, so a reader never
-//! observes a half-written artifact — it sees either the old file, the new
-//! file, or nothing. Two writers racing the same key both succeed; the
-//! last rename wins and both payloads were valid by construction.
+//! Writers are *processes*, not just threads: every `put` goes through
+//! [`write_artifact`], which writes the full artifact to a uniquely named
+//! temporary file (pid + process-wide counter) and renames it into place.
+//! Rename is atomic on POSIX, so a reader never observes a half-written
+//! artifact — it sees either the old file, the new file, or nothing. Two
+//! writers racing the same key both succeed; the last rename wins and both
+//! payloads were valid by construction.
 //!
-//! Reads are **never trusted**: magic, version, length, and checksum are
-//! all verified, and any mismatch (truncation, torn copy, foreign file)
-//! discards the artifact wholesale — counted in [`CasStats::corrupt`] —
-//! exactly mirroring `cache.bin` semantics. A corrupt artifact is also
-//! unlinked best-effort so it cannot keep costing a read.
+//! Reads are **never trusted**: [`read_artifact`] verifies magic, version,
+//! length, and checksum, and any mismatch (truncation, torn copy, flipped
+//! byte, foreign file) discards the artifact wholesale — counted in
+//! [`CasStats::corrupt`]. A corrupt artifact is also unlinked best-effort
+//! so it cannot keep costing a read. The incremental directory's
+//! `cache.bin` (lclint-core) is written and read through the same two
+//! functions, so every file this workspace persists has one trust model.
 //!
 //! # Eviction
 //!
@@ -164,33 +167,30 @@ impl CasStore {
     /// absence or any corruption (the corrupt file is discarded).
     pub fn get(&mut self, key: u64) -> Option<Vec<u8>> {
         let path = self.key_path(key);
-        let data = match fs::read(&path) {
-            Ok(d) => d,
-            Err(_) => {
-                self.stats.misses += 1;
-                return None;
-            }
-        };
-        match validate_artifact(&data) {
-            Some(payload) => {
+        match read_artifact(&path) {
+            Ok(Some(payload)) => {
                 self.stats.hits += 1;
-                Some(payload.to_vec())
+                Some(payload)
             }
-            None => {
+            Ok(None) => {
                 self.stats.corrupt += 1;
                 self.stats.misses += 1;
-                let len = data.len() as u64;
+                let len = fs::metadata(&path).map_or(0, |m| m.len());
                 if fs::remove_file(&path).is_ok() {
                     self.total_bytes = self.total_bytes.saturating_sub(len);
                 }
                 None
             }
+            Err(_) => {
+                self.stats.misses += 1;
+                None
+            }
         }
     }
 
-    /// Stores `payload` under `key`: full artifact to a unique temporary
-    /// file, then an atomic rename. Failures are swallowed — the store is
-    /// an accelerator, never a correctness dependency.
+    /// Stores `payload` under `key` with [`write_artifact`]. Failures are
+    /// swallowed — the store is an accelerator, never a correctness
+    /// dependency.
     pub fn put(&mut self, key: u64, payload: &[u8]) {
         let path = self.key_path(key);
         if path.exists() {
@@ -207,25 +207,9 @@ impl CasStore {
                 return; // a single artifact larger than the bound is never stored
             }
         }
-        let mut buf = Vec::with_capacity(HEADER_LEN + payload.len());
-        buf.extend_from_slice(MAGIC);
-        buf.extend_from_slice(&CACHE_FORMAT_VERSION.to_le_bytes());
-        buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        buf.extend_from_slice(&payload_checksum(payload).to_le_bytes());
-        buf.extend_from_slice(payload);
-        // The counter is process-wide: handles opened by different threads
-        // on one directory must never share a temp path.
-        let n = TMP_COUNTER.fetch_add(1, Ordering::Relaxed);
-        let tmp = self.dir.join(format!("{key:016x}.tmp.{}.{n}", std::process::id()));
-        if fs::write(&tmp, &buf).is_err() {
-            let _ = fs::remove_file(&tmp);
-            return;
-        }
-        if fs::rename(&tmp, &path).is_ok() {
+        if write_artifact(&path, payload).is_ok() {
             self.stats.puts += 1;
             self.total_bytes += artifact_len;
-        } else {
-            let _ = fs::remove_file(&tmp);
         }
     }
 
@@ -280,6 +264,50 @@ pub fn payload_checksum(payload: &[u8]) -> u64 {
     let mut h = StableHasher::new();
     h.write_bytes(payload);
     h.finish()
+}
+
+/// Writes `payload` to `path` as one framed artifact (header, then the
+/// payload): the whole artifact goes to a temporary file named after
+/// `path`, the process id and a process-wide counter, then is renamed into
+/// place. No two writers — processes, or threads holding separate handles
+/// — ever share a temporary file, and a reader sees the old artifact or
+/// the new one, never a mix.
+///
+/// # Errors
+///
+/// Propagates write and rename failures; the temporary file is removed.
+pub fn write_artifact(path: &Path, payload: &[u8]) -> io::Result<()> {
+    let mut buf = Vec::with_capacity(HEADER_LEN + payload.len());
+    buf.extend_from_slice(MAGIC);
+    buf.extend_from_slice(&CACHE_FORMAT_VERSION.to_le_bytes());
+    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    buf.extend_from_slice(&payload_checksum(payload).to_le_bytes());
+    buf.extend_from_slice(payload);
+    let n = TMP_COUNTER.fetch_add(1, Ordering::Relaxed);
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(format!(".tmp.{}.{n}", std::process::id()));
+    let result = fs::write(&tmp, &buf).and_then(|()| fs::rename(&tmp, path));
+    if result.is_err() {
+        let _ = fs::remove_file(&tmp);
+    }
+    result
+}
+
+/// Reads the framed artifact at `path`. `Ok(Some(payload))` only when
+/// magic, version, length and checksum all verify; `Ok(None)` when the
+/// file exists but is not such an artifact (truncated, torn, flipped,
+/// foreign, or from another format version).
+///
+/// # Errors
+///
+/// Propagates read failures, including a missing file.
+pub fn read_artifact(path: &Path) -> io::Result<Option<Vec<u8>>> {
+    let mut data = fs::read(path)?;
+    if validate_artifact(&data).is_none() {
+        return Ok(None);
+    }
+    data.drain(..HEADER_LEN);
+    Ok(Some(data))
 }
 
 /// Header validation: returns the payload slice only when every field

@@ -1,7 +1,7 @@
 //! Cache invalidation precision: editing a shared declaration re-checks
 //! every dependent function — and *only* those.
 
-use lclint_analysis::{check_program, check_program_cached, AnalysisOptions, CheckCache};
+use lclint_analysis::{check_program, check_program_cached, AnalysisOptions, CasStore, CheckCache};
 use lclint_sema::Program;
 use lclint_syntax::parse_translation_unit;
 
@@ -27,6 +27,30 @@ const BASE: &str = "typedef char *t;\n\
                     void uses_t(void) { t x = 0; if (x != 0) { *x = 'a'; } }\n\
                     void calls_get(void) { char *p = get(); if (p != 0) { *p = 'a'; } }\n\
                     void independent(int v) { int y; if (v > 0) { y = v; } else { y = 0; } if (y > 0) { v = y; } }\n";
+
+/// A definition the backing store serves is a hit like one held in
+/// memory: a fresh cache over a store another cache warmed probes every
+/// definition once and reuses every one.
+#[test]
+fn store_served_definitions_count_as_hits() {
+    let dir = std::env::temp_dir().join(format!("lclint-store-hits-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let p = program(BASE);
+    let mut first = CheckCache::new();
+    first.set_backing(CasStore::open(&dir, None).unwrap());
+    let (cold_checked, cold) = run(&mut first, &p);
+    assert_eq!(cold_checked.len(), p.defs.len());
+
+    let mut fresh = CheckCache::new();
+    fresh.set_backing(CasStore::open(&dir, None).unwrap());
+    let warm = check_program_cached(&p, &AnalysisOptions::default(), 0, &mut fresh);
+    let stats = fresh.take_stats();
+    assert_eq!(warm, cold);
+    assert!(stats.checked.is_empty(), "re-checked: {:?}", stats.checked);
+    assert_eq!((stats.hits, stats.lookups()), (p.defs.len(), p.defs.len()), "{stats:?}");
+    assert_eq!(fresh.backing_stats().unwrap().hits, p.defs.len() as u64);
+    let _ = std::fs::remove_dir_all(&dir);
+}
 
 #[test]
 fn warm_run_checks_nothing_and_matches_cold() {

@@ -8,18 +8,21 @@ use crate::flags::Flags;
 use crate::frontend::{collect_typedef_names, parse_roots};
 use crate::incremental::IncrementalSession;
 use crate::render::RenderedDiagnostic;
+use crate::session::Session;
 use crate::stdlib::STDLIB_SOURCE;
 use crate::suppress::SuppressionSet;
-use lclint_analysis::cache::{check_program_cached, options_digest, CacheStats};
+use lclint_analysis::cache::{options_digest, CacheStats};
 use lclint_analysis::{check_program, effective_jobs, infer_annotations, DiagKind, Diagnostic};
 use lclint_sema::Program;
+use lclint_syntax::ast::ArenaStats;
 use lclint_syntax::fx::FxHashSet;
 use lclint_syntax::lexer::ControlComment;
 use lclint_syntax::pp::{preprocess, BorrowedProvider};
 use lclint_syntax::span::{SourceMap, Span};
 use lclint_syntax::stable_hash::StableHasher;
 use lclint_syntax::{Parser, Result, Symbol, SyntaxError, TranslationUnit};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
+use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
 /// The preprocessed+parsed annotated standard library, computed once per
@@ -34,12 +37,18 @@ struct StdlibCache {
 }
 
 static STDLIB_CACHE: OnceLock<std::result::Result<StdlibCache, SyntaxError>> = OnceLock::new();
-static STDLIB_CACHE_HITS: AtomicUsize = AtomicUsize::new(0);
 
-/// How many check runs have reused the cached stdlib parse instead of
-/// re-lexing and re-parsing it (observability for benchmarks and tests).
+thread_local! {
+    static STDLIB_CACHE_HITS: Cell<usize> = const { Cell::new(0) };
+}
+
+/// How many builds on the calling thread have reused the cached stdlib
+/// parse instead of re-lexing and re-parsing it (observability for
+/// benchmarks and tests). Counted per thread, since a build fetches the
+/// stdlib on its caller's thread: checks running concurrently on other
+/// threads never move this thread's count.
 pub fn stdlib_cache_hits() -> usize {
-    STDLIB_CACHE_HITS.load(Ordering::Relaxed)
+    STDLIB_CACHE_HITS.with(Cell::get)
 }
 
 /// The process-wide stdlib parse, or the error that prevented it. The error
@@ -58,7 +67,7 @@ fn cached_stdlib() -> std::result::Result<&'static StdlibCache, &'static SyntaxE
         Ok(StdlibCache { unit, typedefs, source_map: sm })
     });
     if !initializing && slot.is_ok() {
-        STDLIB_CACHE_HITS.fetch_add(1, Ordering::Relaxed);
+        STDLIB_CACHE_HITS.with(|hits| hits.set(hits.get() + 1));
     }
     slot.as_ref()
 }
@@ -69,7 +78,7 @@ fn cached_stdlib() -> std::result::Result<&'static StdlibCache, &'static SyntaxE
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SubstrateStats {
     /// Aggregated node-arena sizes across the run's units (stdlib included).
-    pub arena: lclint_syntax::ast::ArenaStats,
+    pub arena: ArenaStats,
     /// Interned symbols alive in the process after the run.
     pub symbols: usize,
     /// Threads that preprocessed and parsed the roots of the last build.
@@ -104,40 +113,40 @@ pub fn peak_rss_bytes() -> Option<u64> {
 /// the per-unit syntax needed for rendering and annotation write-back.
 ///
 /// The per-root records (`root_file_plans`, `root_controls`,
-/// `root_syntax_diags`, `typedef_prefix`, `def_counts`) exist for the
-/// incremental [`Session`](crate::session::Session): they let a warm
-/// session re-derive exactly one root's contribution and splice it into
-/// the built program instead of rebuilding everything.
+/// `root_syntax_diags`, `typedef_prefix`, `def_counts`) let a warm
+/// [`Session`] re-derive exactly one root's contribution and splice it
+/// into the built program instead of rebuilding everything; the session
+/// keeps the whole value as its warm state.
 pub(crate) struct BuiltProgram {
     pub(crate) program: Program,
     pub(crate) sm: SourceMap,
-    pub(crate) controls: Vec<ControlComment>,
     /// Every parsed unit in load order; `root_start` indexes the first unit
     /// belonging to `roots` (earlier ones are interface libraries). A root
     /// that failed to lex or preprocess contributes an *empty* unit so the
     /// `roots` indices stay aligned.
     pub(crate) units: Vec<TranslationUnit>,
     pub(crate) root_start: usize,
-    /// Wall-clock milliseconds preprocessing and parsing every unit.
+    /// Wall-clock milliseconds preprocessing and parsing every unit (a
+    /// session's patch overwrites it with the patch's own time).
     pub(crate) parse_ms: f64,
     /// Wall-clock milliseconds resolving the program (name/type binding).
     pub(crate) sema_ms: f64,
-    /// Arena/interner counters for this build.
-    pub(crate) substrate: SubstrateStats,
-    /// The stdlib's share of `substrate.arena` (sessions recompute the unit
-    /// share after patches, but never re-parse the stdlib).
-    pub(crate) stdlib_arena: lclint_syntax::ast::ArenaStats,
-    /// Diagnostics produced while building: recovered parse errors in root
-    /// files and a stdlib-unavailable notice. Merged into the check output
-    /// so broken input degrades to messages instead of aborting the run.
-    pub(crate) syntax_diags: Vec<Diagnostic>,
+    /// Threads that preprocessed and parsed the roots.
+    pub(crate) frontend_jobs: usize,
+    /// Roots parsed twice (see [`SubstrateStats::typedef_reparses`]).
+    pub(crate) typedef_reparses: usize,
+    /// The stdlib's node-arena footprint (the units' share is recomputed
+    /// from `units`, which a session patches; the stdlib never changes).
+    pub(crate) stdlib_arena: ArenaStats,
     /// Source-map file ids registered while preprocessing each root, in
     /// registration order (the replay plan for re-preprocessing that root).
     pub(crate) root_file_plans: Vec<Vec<lclint_syntax::FileId>>,
     /// Control comments contributed by each root.
     pub(crate) root_controls: Vec<Vec<ControlComment>>,
     /// Build diagnostics that precede every root's (currently only the
-    /// stdlib-unavailable notice).
+    /// stdlib-unavailable notice). Like `root_syntax_diags`, merged into
+    /// the check output so broken input degrades to messages instead of
+    /// aborting the run.
     pub(crate) pre_root_diags: Vec<Diagnostic>,
     /// Recovered parse / preprocess diagnostics per root.
     pub(crate) root_syntax_diags: Vec<Vec<Diagnostic>>,
@@ -152,6 +161,23 @@ pub(crate) struct BuiltProgram {
     /// `def_counts[k + 1]` after `units[k]` — so unit `k` contributed the
     /// definitions `def_counts[k]..def_counts[k + 1]`.
     pub(crate) def_counts: Vec<usize>,
+}
+
+impl BuiltProgram {
+    /// Node-arena footprint of the stdlib and every unit.
+    pub(crate) fn arena_stats(&self) -> ArenaStats {
+        let mut arena = self.stdlib_arena;
+        for u in &self.units {
+            arena.absorb(&u.arena.stats());
+        }
+        arena
+    }
+}
+
+/// The program's semantic (declaration-level) errors, rendered as
+/// `file:line: message`.
+fn sema_errors(program: &Program, sm: &SourceMap) -> Vec<String> {
+    program.errors.iter().map(|e| format!("{}: {}", sm.loc(e.span), e.message)).collect()
 }
 
 /// The result of one inference run ([`Linter::infer_files`]).
@@ -187,8 +213,8 @@ pub struct CheckResult {
     /// [`IncrementalSession`].
     pub cache_stats: Option<CacheStats>,
     /// Wall-clock milliseconds spent in the checking phase alone (dataflow
-    /// analysis and cache probing; excludes preprocessing, parsing, and
-    /// program construction). This is the phase the incremental cache
+    /// analysis, cache probing, and saving a directory-backed cache;
+    /// excludes preprocessing, parsing, and program construction). This is the phase the incremental cache
     /// accelerates, so benchmarks report it alongside total time.
     pub check_ms: f64,
     /// Wall-clock milliseconds spent preprocessing and parsing.
@@ -211,23 +237,21 @@ impl CheckResult {
     }
 
     /// Message counts by class flag name (for summaries and harnesses).
-    pub fn counts_by_kind(&self) -> std::collections::BTreeMap<String, usize> {
-        let mut m = std::collections::BTreeMap::new();
-        for d in &self.diagnostics {
-            *m.entry(d.kind.clone()).or_insert(0usize) += 1;
-        }
-        m
+    pub fn counts_by_kind(&self) -> BTreeMap<String, usize> {
+        self.counts(|d| Some(d.kind.clone()))
     }
 
     /// Message counts by CWE id (for `--stats` and the daemon's `stats`
     /// response). Diagnostics whose kind has no CWE mapping (syntax,
     /// internal, budget, ...) are not counted.
-    pub fn counts_by_cwe(&self) -> std::collections::BTreeMap<u32, usize> {
-        let mut m = std::collections::BTreeMap::new();
-        for d in &self.diagnostics {
-            if let Some(id) = d.cwe {
-                *m.entry(id).or_insert(0usize) += 1;
-            }
+    pub fn counts_by_cwe(&self) -> BTreeMap<u32, usize> {
+        self.counts(|d| d.cwe)
+    }
+
+    fn counts<K: Ord>(&self, key: impl Fn(&RenderedDiagnostic) -> Option<K>) -> BTreeMap<K, usize> {
+        let mut m = BTreeMap::new();
+        for k in self.diagnostics.iter().filter_map(key) {
+            *m.entry(k).or_insert(0) += 1;
         }
         m
     }
@@ -401,33 +425,16 @@ impl Linter {
         }
         let sema_ms = sema_start.elapsed().as_secs_f64() * 1000.0;
 
-        let mut substrate = SubstrateStats {
-            frontend_jobs,
-            typedef_reparses: parsed.typedef_reparses,
-            ..SubstrateStats::default()
-        };
-        let mut stdlib_arena = lclint_syntax::ast::ArenaStats::default();
-        if let Some(u) = stdlib_unit {
-            stdlib_arena.absorb(&u.arena.stats());
-            substrate.arena.absorb(&u.arena.stats());
-        }
-        for u in &units {
-            substrate.arena.absorb(&u.arena.stats());
-        }
-        substrate.symbols = lclint_syntax::intern::symbol_count();
-        let controls = parsed.controls.iter().flatten().cloned().collect();
-        let syntax_diags =
-            pre_root_diags.iter().chain(parsed.syntax_diags.iter().flatten()).cloned().collect();
+        let stdlib_arena = stdlib_unit.map(|u| u.arena.stats()).unwrap_or_default();
         Ok(BuiltProgram {
             program,
             sm,
-            controls,
             units,
             root_start,
-            syntax_diags,
             parse_ms,
             sema_ms,
-            substrate,
+            frontend_jobs,
+            typedef_reparses: parsed.typedef_reparses,
             stdlib_arena,
             root_file_plans: parsed.file_plans,
             root_controls: parsed.controls,
@@ -441,10 +448,14 @@ impl Linter {
     }
 
     /// Like [`Linter::check_files`], but routes checking through an
-    /// incremental session when one is given: previously cached functions
-    /// whose fingerprints still match are not re-checked, and
+    /// incremental session when one is given: the run is then a one-shot
+    /// [`Session`] over that session's cache, so previously cached
+    /// functions whose fingerprints still match are not re-checked, a
+    /// directory-backed cache is saved afterwards, and
     /// [`CheckResult::cache_stats`] reports hits/misses/invalidations.
-    /// Output is byte-identical to the uncached path for any `jobs` value.
+    /// Without one, every function is checked with no dependency recording
+    /// or fingerprinting. Output is byte-identical either way, for any
+    /// `jobs` value.
     ///
     /// # Errors
     ///
@@ -455,60 +466,65 @@ impl Linter {
         roots: &[String],
         incremental: Option<&mut IncrementalSession>,
     ) -> Result<CheckResult> {
-        let BuiltProgram {
-            program, sm, controls, syntax_diags, parse_ms, sema_ms, substrate, ..
-        } = self.build_program(files, roots, self.flags.analysis.jobs)?;
-        let sema_errors: Vec<String> = program
-            .errors
-            .iter()
-            .map(|e| {
-                let loc = sm.loc(e.span);
-                format!("{loc}: {}", e.message)
-            })
-            .collect();
-
-        // The cache sits *below* flag and suppression filtering: entries
-        // hold the full per-function diagnostics, so toggling message
-        // classes or suppression comments never invalidates anything.
+        if let Some(inc) = incremental {
+            return Session::once(self, files, roots, inc);
+        }
+        let mut built = self.build_program(files, roots, self.flags.analysis.jobs)?;
         let check_start = std::time::Instant::now();
-        let (mut diags, cache_stats) = match incremental {
-            None => (check_program(&program, &self.flags.analysis), None),
-            Some(session) => {
-                let od = options_digest(&self.flags.analysis);
-                let lib = self.library_digest();
-                session.prepare(od, lib);
-                let diags =
-                    check_program_cached(&program, &self.flags.analysis, lib, &mut session.cache);
-                // Best-effort: a failed save costs the next run its warm
-                // start, never this run its result.
-                let _ = session.persist(od, lib);
-                (diags, Some(session.take_stats()))
-            }
-        };
+        let diags = check_program(&built.program, &self.flags.analysis);
         let check_ms = check_start.elapsed().as_secs_f64() * 1000.0;
-        diags.extend(syntax_diags);
+        let sm = std::mem::take(&mut built.sm);
+        Ok(self.finish(&built, sm, diags, None, check_ms))
+    }
+
+    /// The one post-check tail of every check run, batch or session.
+    /// `diags` are the per-definition diagnostics of checking `built`, in
+    /// definition order. The build's syntax diagnostics are merged in, the
+    /// flag-enabled classes kept, the rest sorted by location, whatever a
+    /// stylized suppression comment covers dropped, and the survivors
+    /// rendered. `sm` is `built.sm`, moved out by a caller that is done
+    /// with the build or cloned by a session that keeps it warm.
+    ///
+    /// The cache sits *below* this tail: entries hold the full
+    /// per-function diagnostics, so toggling message classes or
+    /// suppression comments never invalidates anything.
+    pub(crate) fn finish(
+        &self,
+        built: &BuiltProgram,
+        sm: SourceMap,
+        mut diags: Vec<Diagnostic>,
+        cache_stats: Option<CacheStats>,
+        check_ms: f64,
+    ) -> CheckResult {
+        diags.extend(built.pre_root_diags.iter().cloned());
+        diags.extend(built.root_syntax_diags.iter().flatten().cloned());
         diags.retain(|d| self.flags.enabled(d.kind));
         diags.sort_by_key(|d| (d.span.file, d.span.start));
-
         let (diags, suppressed) = if self.flags.suppression_comments {
-            let set = SuppressionSet::build(&controls, &sm);
-            set.filter(diags, &sm, |d| d.span)
+            let controls: Vec<ControlComment> =
+                built.root_controls.iter().flatten().cloned().collect();
+            SuppressionSet::build(&controls, &sm).filter(diags, &sm, |d| d.span)
         } else {
             (diags, 0)
         };
-
-        let rendered = diags.iter().map(|d| RenderedDiagnostic::resolve(d, &sm)).collect();
-        Ok(CheckResult {
-            diagnostics: rendered,
+        let diagnostics = diags.iter().map(|d| RenderedDiagnostic::resolve(d, &sm)).collect();
+        let substrate = SubstrateStats {
+            arena: built.arena_stats(),
+            symbols: lclint_syntax::intern::symbol_count(),
+            frontend_jobs: built.frontend_jobs,
+            typedef_reparses: built.typedef_reparses,
+        };
+        CheckResult {
+            diagnostics,
             suppressed,
-            sema_errors,
+            sema_errors: sema_errors(&built.program, &sm),
             source_map: sm,
             cache_stats,
             check_ms,
-            parse_ms,
-            sema_ms,
+            parse_ms: built.parse_ms,
+            sema_ms: built.sema_ms,
             substrate,
-        })
+        }
     }
 }
 
@@ -539,15 +555,6 @@ impl Linter {
         roots: &[String],
     ) -> Result<InferOutcome> {
         let built = self.build_program(files, roots, self.flags.analysis.jobs)?;
-        let sema_errors: Vec<String> = built
-            .program
-            .errors
-            .iter()
-            .map(|e| {
-                let loc = built.sm.loc(e.span);
-                format!("{loc}: {}", e.message)
-            })
-            .collect();
         let result = infer_annotations(&built.program, &self.flags.analysis);
         let root_units = &built.units[built.root_start..];
         let applied = apply_annotations(root_units, &result.annots, &built.sm);
@@ -562,7 +569,7 @@ impl Linter {
             sccs: result.sccs,
             diff: applied.diff,
             annotated,
-            sema_errors,
+            sema_errors: sema_errors(&built.program, &built.sm),
         })
     }
 }

@@ -1,12 +1,11 @@
 //! Incremental checking sessions: an in-memory [`CheckCache`] for batch
 //! runs, optionally persisted to a directory (`--incremental <dir>`).
 //!
-//! The on-disk format is a single `cache.bin` file, length-prefixed binary
-//! with no external dependencies:
+//! The directory holds one file, `cache.bin`: a castore artifact (see
+//! [`lclint_analysis::castore`] — magic, [`CACHE_FORMAT_VERSION`], payload
+//! length, FNV checksum) whose payload is
 //!
 //! ```text
-//! magic    8 bytes   b"LCLINCR1"
-//! version  u32 LE    lclint_analysis::CACHE_FORMAT_VERSION
 //! options  u64 LE    options_digest of the run that wrote the file
 //! library  u64 LE    digest of (use_stdlib, loaded interface libraries)
 //! count    u32 LE    number of entries
@@ -14,22 +13,27 @@
 //! ```
 //!
 //! Strings are `u32 LE length + UTF-8 bytes`; sets and lists carry a
-//! `u32 LE` count. Writes go to `cache.bin.tmp` and are renamed into place,
-//! so a crashed run never leaves a torn file. Reads are **never trusted**:
-//! any magic/version/stamp mismatch, truncation, or malformed field discards
-//! the whole file and the run proceeds from a cold cache. Even a loaded
-//! entry is only reused after its fingerprint revalidates against the
-//! current program, so a corrupted-but-well-formed file costs correctness
-//! nothing.
+//! `u32 LE` count. The file is written and read with castore's
+//! [`write_artifact`] and [`read_artifact`], so it shares the store's one
+//! trust model: a unique temporary file renamed into place, and any header
+//! or checksum mismatch, truncation, malformed field or stamp mismatch
+//! discards the whole file and the run proceeds from a cold cache. A
+//! fingerprint covers what an entry was computed from, not the stored
+//! message text; the checksum is what guards that text.
+//!
+//! [`CACHE_FORMAT_VERSION`]: lclint_analysis::CACHE_FORMAT_VERSION
 
-use lclint_analysis::cache::{CacheEntry, CacheStats, CheckCache};
-use lclint_analysis::castore::{decode_entry, encode_entry, r_bytes, r_u32, r_u64, w_u32, w_u64};
+use lclint_analysis::cache::{check_program_cached_slots, options_digest, CacheEntry, CheckCache};
+use lclint_analysis::castore::{
+    decode_entry, encode_entry, r_u32, r_u64, read_artifact, w_u32, w_u64, write_artifact,
+};
+use lclint_analysis::{AnalysisOptions, Diagnostic};
+use lclint_sema::Program;
 use lclint_syntax::Symbol;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-const MAGIC: &[u8; 8] = b"LCLINCR1";
 const CACHE_FILE: &str = "cache.bin";
 
 /// A reusable incremental-checking state: the cache plus (optionally) the
@@ -67,7 +71,7 @@ impl IncrementalSession {
     /// in-memory misses probe the shared directory (and, for a
     /// [`lclint_analysis::LayeredStore`] with a remote tier, the network
     /// store behind it), fresh results are published to it, and
-    /// [`CacheStats::cas_hits`]/`cas_misses` report the traffic. See
+    /// [`IncrementalSession::cas_stats`] reports the traffic. See
     /// [`lclint_analysis::castore`] and [`lclint_analysis::remote`].
     pub fn set_cas(&mut self, store: impl Into<lclint_analysis::LayeredStore>) {
         self.cache.set_backing(store);
@@ -96,9 +100,8 @@ impl IncrementalSession {
     pub fn at_dir(dir: impl Into<PathBuf>) -> io::Result<Self> {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
-        let mut s = IncrementalSession { dir: Some(dir), ..Default::default() };
-        s.load();
-        Ok(s)
+        let (loaded_stamp, cache) = load_cache(&dir.join(CACHE_FILE)).unzip();
+        Ok(IncrementalSession { cache: cache.unwrap_or_default(), dir: Some(dir), loaded_stamp })
     }
 
     /// Number of cached functions currently held.
@@ -111,77 +114,55 @@ impl IncrementalSession {
         self.cache.is_empty()
     }
 
-    /// Called by the driver before checking: drop a disk-loaded cache whose
-    /// stamp does not match the current run (different options, libraries,
-    /// or format version — the file was written by a different world).
-    pub(crate) fn prepare(&mut self, options_digest: u64, lib_digest: u64) {
-        if let Some(stamp) = self.loaded_stamp.take() {
-            if stamp != (options_digest, lib_digest) {
-                self.cache = CheckCache::new();
-            }
+    /// Checks the definitions of `program` at `indices` (ascending)
+    /// through the cache, filling their `slots`, and returns the unstable
+    /// ones (see [`check_program_cached_slots`]). A disk-loaded cache whose
+    /// stamp does not match `opts` and `lib_digest` is dropped first: the
+    /// file was written by a different world. A directory-backed cache is
+    /// saved afterwards; a failed save costs the next run its warm start,
+    /// never this run its result.
+    pub(crate) fn check(
+        &mut self,
+        program: &Program,
+        opts: &AnalysisOptions,
+        lib_digest: u64,
+        indices: &[usize],
+        slots: &mut [Option<Vec<Diagnostic>>],
+    ) -> Vec<usize> {
+        let stamp = (options_digest(opts), lib_digest);
+        if self.loaded_stamp.take().is_some_and(|loaded| loaded != stamp) {
+            self.cache = CheckCache::new();
         }
-    }
-
-    /// Called by the driver after checking: persist if a directory is
-    /// attached. Save failures are reported but do not fail the check run.
-    pub(crate) fn persist(&self, options_digest: u64, lib_digest: u64) -> io::Result<()> {
-        let Some(dir) = &self.dir else { return Ok(()) };
-        save_cache(dir, &self.cache, options_digest, lib_digest)
-    }
-
-    /// Takes the counters accumulated by the last run.
-    pub(crate) fn take_stats(&mut self) -> CacheStats {
-        self.cache.take_stats()
-    }
-
-    fn load(&mut self) {
-        let Some(dir) = &self.dir else { return };
-        if let Some((stamp, cache)) = load_cache(&dir.join(CACHE_FILE)) {
-            self.loaded_stamp = Some(stamp);
-            self.cache = cache;
+        let unstable =
+            check_program_cached_slots(program, opts, lib_digest, &mut self.cache, indices, slots);
+        if let Some(dir) = &self.dir {
+            let _ = save_cache(dir, &self.cache, stamp);
         }
+        unstable
     }
 }
 
-/// Serializes and atomically writes the cache.
-fn save_cache(
-    dir: &Path,
-    cache: &CheckCache,
-    options_digest: u64,
-    lib_digest: u64,
-) -> io::Result<()> {
+/// Serializes the cache and writes it as one castore artifact.
+fn save_cache(dir: &Path, cache: &CheckCache, (options, library): (u64, u64)) -> io::Result<()> {
     let mut buf = Vec::new();
-    buf.extend_from_slice(MAGIC);
-    w_u32(&mut buf, lclint_analysis::CACHE_FORMAT_VERSION);
-    w_u64(&mut buf, options_digest);
-    w_u64(&mut buf, lib_digest);
+    w_u64(&mut buf, options);
+    w_u64(&mut buf, library);
     let mut entries: Vec<(&Symbol, &CacheEntry)> = cache.entries().collect();
     entries.sort_by(|a, b| a.0.cmp(b.0));
     w_u32(&mut buf, entries.len() as u32);
-    // The per-entry record is the shared codec from `lclint_analysis::castore`
-    // (also the payload of a function-level CAS artifact), so `cache.bin`
-    // bytes are unchanged from when the codec lived here.
+    // The per-entry record is the codec of a function-level CAS artifact.
     for (name, e) in entries {
         encode_entry(&mut buf, *name, e);
     }
-    let tmp = dir.join(format!("{CACHE_FILE}.tmp"));
-    fs::write(&tmp, &buf)?;
-    fs::rename(&tmp, dir.join(CACHE_FILE))
+    write_artifact(&dir.join(CACHE_FILE), &buf)
 }
 
-/// Parses a cache file. `None` on any mismatch or malformation — the
-/// caller starts cold.
+/// Parses a cache file. `None` when it is missing, fails castore's
+/// validation or is malformed — the caller starts cold.
 fn load_cache(path: &Path) -> Option<((u64, u64), CheckCache)> {
-    let data = fs::read(path).ok()?;
+    let data = read_artifact(path).ok()??;
     let mut r = data.as_slice();
-    if r_bytes(&mut r, 8)? != MAGIC.as_slice() {
-        return None;
-    }
-    if r_u32(&mut r)? != lclint_analysis::CACHE_FORMAT_VERSION {
-        return None;
-    }
-    let options_digest = r_u64(&mut r)?;
-    let lib_digest = r_u64(&mut r)?;
+    let stamp = (r_u64(&mut r)?, r_u64(&mut r)?);
     let count = r_u32(&mut r)?;
     let mut cache = CheckCache::new();
     for _ in 0..count {
@@ -191,7 +172,7 @@ fn load_cache(path: &Path) -> Option<((u64, u64), CheckCache)> {
     if !r.is_empty() {
         return None; // trailing garbage: not a file we wrote
     }
-    Some(((options_digest, lib_digest), cache))
+    Some((stamp, cache))
 }
 
 #[cfg(test)]
@@ -279,6 +260,92 @@ mod tests {
         let st = rerun.cache_stats.as_ref().unwrap();
         assert_eq!((st.hits, st.misses, st.invalidations), (0, 2, 0), "{st:?}");
         assert_eq!(cold.render(), rerun.render());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn flipped_message_byte_reads_cold_not_wrong() {
+        let dir = std::env::temp_dir().join(format!("lclint-incr-flip-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let linter = Linter::new(Flags::default());
+        let leak = "void f(void)\n{\n  char *p = (char *) malloc(4);\n  p = (char *) 0;\n}\n";
+        let roots = ["m.c".to_owned()];
+        let mut s1 = IncrementalSession::at_dir(&dir).unwrap();
+        let cold = linter.check_files_with(&files(leak), &roots, Some(&mut s1)).unwrap();
+        assert!(cold.render().contains("Fresh storage p"), "{}", cold.render());
+
+        // `Fresh` -> `Xresh` inside the stored message: a well-formed file
+        // whose fingerprints all still match.
+        let path = dir.join(CACHE_FILE);
+        let mut bytes = fs::read(&path).unwrap();
+        let at = bytes.windows(5).position(|w| w == b"Fresh").expect("message is stored");
+        bytes[at] = b'X';
+        fs::write(&path, &bytes).unwrap();
+
+        let mut s2 = IncrementalSession::at_dir(&dir).unwrap();
+        let warm = linter.check_files_with(&files(leak), &roots, Some(&mut s2)).unwrap();
+        assert_eq!(warm.render(), cold.render());
+        let st = warm.cache_stats.as_ref().unwrap();
+        assert_eq!((st.hits, st.misses, st.checked.clone()), (0, 1, vec!["f".to_owned()]));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Two handles persist to one directory round after round while a third
+    /// loads from it: each load is the whole of one writer's cache (warm,
+    /// byte-identical) or nothing usable (cold), never a mix, and no
+    /// temporary file outlives its write.
+    #[test]
+    fn concurrent_persists_never_tear_cache_bin() {
+        const ROUNDS: usize = 40;
+        let dir = std::env::temp_dir().join(format!("lclint-incr-race-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        let linter = Linter::new(Flags::default());
+        let roots = ["m.c".to_owned()];
+        // The same function names with different bodies: a torn file could
+        // pair one writer's fingerprints with the other's messages.
+        let other = SRC
+            .replace("free(p);", "if (p != 0) { *p = 'a'; }")
+            .replace("gname = pname;", "gname = pname;\n  gname = pname;");
+        let sources = [SRC, other.as_str()];
+        let cold: Vec<String> = sources
+            .iter()
+            .map(|src| linter.check_files(&files(src), &roots).unwrap().render())
+            .collect();
+        let load_and_check = |src: &str, cold: &str| {
+            let mut s = IncrementalSession::at_dir(&dir).unwrap();
+            let r = linter.check_files_with(&files(src), &roots, Some(&mut s)).unwrap();
+            assert_eq!(r.render(), cold);
+            let st = r.cache_stats.unwrap();
+            assert!(st.hits == 0 || st.hits == st.lookups(), "{st:?}");
+        };
+        let start = std::sync::Barrier::new(3);
+        std::thread::scope(|scope| {
+            for src in sources {
+                let (dir, linter, roots, start) = (&dir, &linter, &roots, &start);
+                scope.spawn(move || {
+                    let mut s = IncrementalSession::at_dir(dir).unwrap();
+                    start.wait();
+                    for _ in 0..ROUNDS {
+                        linter.check_files_with(&files(src), roots, Some(&mut s)).unwrap();
+                    }
+                });
+            }
+            scope.spawn(|| {
+                start.wait();
+                for round in 0..ROUNDS {
+                    load_and_check(sources[round % 2], &cold[round % 2]);
+                }
+            });
+        });
+        for (src, cold) in sources.iter().zip(&cold) {
+            load_and_check(src, cold);
+        }
+        let names: Vec<String> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        assert_eq!(names, [CACHE_FILE], "temporary files left behind");
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -21,50 +21,26 @@
 //! This is the engine under both `rlclint --watch` and the `rlclintd`
 //! analysis server.
 
-use crate::driver::{BuiltProgram, CheckResult, Linter, SubstrateStats};
+use crate::driver::{BuiltProgram, CheckResult, Linter};
 use crate::incremental::IncrementalSession;
-use crate::render::RenderedDiagnostic;
-use crate::suppress::SuppressionSet;
-use lclint_analysis::cache::{check_program_cached_slots, options_digest, CacheStats};
 use lclint_analysis::{AnalysisOptions, Diagnostic};
-use lclint_sema::Program;
-use lclint_syntax::ast::{Item, TranslationUnit};
+use lclint_syntax::ast::Item;
 use lclint_syntax::fx::FxHashSet;
-use lclint_syntax::lexer::ControlComment;
 use lclint_syntax::pp::{preprocess, BorrowedProvider};
-use lclint_syntax::span::{FileId, SourceMap, Span};
+use lclint_syntax::span::{FileId, Span};
 use lclint_syntax::{pretty_print_declaration, pretty_print_function, Parser, Result, Symbol};
 use std::io;
 use std::path::PathBuf;
 
 /// Everything a warm session holds between checks.
 struct State {
-    program: Program,
-    sm: SourceMap,
-    units: Vec<TranslationUnit>,
-    root_start: usize,
-    /// `program.defs.len()` marks: `[0]` after the stdlib, `[k + 1]` after
-    /// `units[k]`.
-    def_counts: Vec<usize>,
-    root_file_plans: Vec<Vec<FileId>>,
-    root_controls: Vec<Vec<ControlComment>>,
-    pre_root_diags: Vec<Diagnostic>,
-    root_syntax_diags: Vec<Vec<Diagnostic>>,
-    typedefs: Vec<Symbol>,
-    /// Typedef names every root parse borrows (stdlib and libraries).
-    inherited: FxHashSet<String>,
-    typedef_prefix: Vec<usize>,
-    /// Front-end counters of the last full build.
-    frontend_jobs: usize,
-    typedef_reparses: usize,
-    stdlib_arena: lclint_syntax::ast::ArenaStats,
+    /// The last build, kept whole; a patch splices one root into it.
+    built: BuiltProgram,
     /// Per-definition diagnostics from the last check, in definition order.
     def_diags: Vec<Vec<Diagnostic>>,
     /// Definitions whose last result was not backed by a validated cache
     /// entry (degraded or unanchorable) — always re-checked.
     unstable: FxHashSet<Symbol>,
-    parse_ms: f64,
-    sema_ms: f64,
     check_ms: f64,
 }
 
@@ -118,9 +94,6 @@ pub struct Session {
     rebuilds: usize,
     fast_patches: usize,
     no_ops: usize,
-    /// Per-CWE message counts of the most recent check served, for the
-    /// daemon's `stats` response (kinds without a CWE mapping not counted).
-    last_cwe_counts: std::collections::BTreeMap<u32, usize>,
 }
 
 impl Session {
@@ -136,7 +109,6 @@ impl Session {
             rebuilds: 0,
             fast_patches: 0,
             no_ops: 0,
-            last_cwe_counts: std::collections::BTreeMap::new(),
         }
     }
 
@@ -221,9 +193,8 @@ impl Session {
             self.no_ops += 1;
             return Ok(self.assemble());
         }
-        if let (Some(base), Some(root_idx)) = (&base, self.roots.iter().position(|r| r == name)) {
-            if self.state.is_some() && self.try_patch(root_idx, base, text, jobs)? {
-                self.fast_patches += 1;
+        if let Some(base) = &base {
+            if self.state.is_some() && self.try_patch(name, base, text, jobs)? {
                 return Ok(self.assemble());
             }
         }
@@ -275,13 +246,7 @@ impl Session {
             self.no_ops += 1;
             return Ok(self.assemble());
         }
-        let patched = match self.roots.iter().position(|r| r == name) {
-            Some(root_idx) => self.try_patch(root_idx, &current, text, jobs)?,
-            None => false,
-        };
-        if patched {
-            self.fast_patches += 1;
-        } else {
+        if !self.try_patch(name, &current, text, jobs)? {
             // Rebuild against the overlay text without disturbing the
             // canonical entry. A failed rebuild leaves the old state (still
             // reflecting `current`) in place, which stays consistent with
@@ -317,13 +282,10 @@ impl Session {
         if canonical == overlay {
             return Ok(());
         }
-        let patched = match self.roots.iter().position(|r| r == &name) {
-            Some(root_idx) => self.try_patch(root_idx, &overlay, &canonical, jobs)?,
-            None => false,
-        };
-        if patched {
-            self.fast_patches += 1;
-        } else if let Err(e) = self.rebuild(jobs) {
+        if self.try_patch(&name, &overlay, &canonical, jobs)? {
+            return Ok(());
+        }
+        if let Err(e) = self.rebuild(jobs) {
             // The old state reflects the overlay but the marker is gone:
             // drop it rather than serve stale diagnostics.
             self.state = None;
@@ -332,25 +294,11 @@ impl Session {
         Ok(())
     }
 
-    /// Per-CWE message counts of the most recent check this session served
-    /// (empty before the first check). Survives the patch fast path: every
-    /// serving path reassembles the full diagnostic set.
-    pub fn cwe_counts(&self) -> &std::collections::BTreeMap<u32, usize> {
-        &self.last_cwe_counts
-    }
-
     /// Serving counters plus substrate footprint (interner, arenas, cache).
     pub fn stats(&self) -> SessionStats {
-        let mut arena_bytes = 0usize;
-        let mut defs = 0usize;
-        if let Some(st) = &self.state {
-            let mut arena = st.stdlib_arena;
-            for u in &st.units {
-                arena.absorb(&u.arena.stats());
-            }
-            arena_bytes = arena.total_bytes();
-            defs = st.program.defs.len();
-        }
+        let (arena_bytes, defs) = self.state.as_ref().map_or((0, 0), |st| {
+            (st.built.arena_stats().total_bytes(), st.built.program.defs.len())
+        });
         SessionStats {
             rebuilds: self.rebuilds,
             fast_patches: self.fast_patches,
@@ -366,15 +314,7 @@ impl Session {
     /// The file ids each root registered in the warm state's source map.
     #[cfg(test)]
     pub(crate) fn root_file_plans(&self) -> Option<&[Vec<FileId>]> {
-        self.state.as_ref().map(|st| st.root_file_plans.as_slice())
-    }
-
-    fn opts(&self, jobs: Option<usize>) -> AnalysisOptions {
-        let mut opts = self.linter.flags.analysis.clone();
-        if let Some(j) = jobs {
-            opts.jobs = j;
-        }
-        opts
+        self.state.as_ref().map(|st| st.built.root_file_plans.as_slice())
     }
 
     /// Full build: parse everything, resolve the program, check every
@@ -382,79 +322,42 @@ impl Session {
     /// back here whenever a precondition fails.
     fn rebuild(&mut self, jobs: Option<usize>) -> Result<()> {
         self.rebuilds += 1;
-        let opts = self.opts(jobs);
-        let bp: BuiltProgram = self.linter.build_program(&self.files, &self.roots, opts.jobs)?;
-        let od = options_digest(&opts);
-        let lib = self.linter.library_digest();
-        self.inc.prepare(od, lib);
-        let check_start = std::time::Instant::now();
-        let indices: Vec<usize> = (0..bp.program.defs.len()).collect();
-        let mut slots: Vec<Option<Vec<Diagnostic>>> = vec![None; bp.program.defs.len()];
-        let unstable_idx = check_program_cached_slots(
-            &bp.program,
-            &opts,
-            lib,
-            &mut self.inc.cache,
-            &indices,
-            &mut slots,
-        );
-        let check_ms = check_start.elapsed().as_secs_f64() * 1000.0;
-        let _ = self.inc.persist(od, lib);
-        let unstable =
-            unstable_idx.iter().map(|&i| bp.program.defs[i].sig.name).collect::<FxHashSet<_>>();
-        let def_diags = slots.into_iter().map(|s| s.unwrap_or_default()).collect();
-        self.state = Some(State {
-            program: bp.program,
-            sm: bp.sm,
-            units: bp.units,
-            root_start: bp.root_start,
-            def_counts: bp.def_counts,
-            root_file_plans: bp.root_file_plans,
-            root_controls: bp.root_controls,
-            pre_root_diags: bp.pre_root_diags,
-            root_syntax_diags: bp.root_syntax_diags,
-            typedefs: bp.typedefs,
-            inherited: bp.inherited,
-            typedef_prefix: bp.typedef_prefix,
-            frontend_jobs: bp.substrate.frontend_jobs,
-            typedef_reparses: bp.substrate.typedef_reparses,
-            stdlib_arena: bp.stdlib_arena,
-            def_diags,
-            unstable,
-            parse_ms: bp.parse_ms,
-            sema_ms: bp.sema_ms,
-            check_ms,
-        });
+        self.state =
+            Some(State::cold(&self.linter, &mut self.inc, &self.files, &self.roots, jobs)?);
         Ok(())
     }
 
-    /// The patch fast path. Returns `Ok(false)` when any precondition
-    /// fails (the caller then rebuilds); `Ok(true)` when the edit was
-    /// spliced in and the dirty definitions re-checked.
+    /// The patch fast path for an edit of `name` from `old_text` to
+    /// `new_text`. Returns `Ok(false)` when `name` is not a root or any
+    /// precondition fails (the caller then rebuilds); `Ok(true)` when the
+    /// edit was spliced in and the dirty definitions re-checked.
     fn try_patch(
         &mut self,
-        root_idx: usize,
+        name: &str,
         old_text: &str,
         new_text: &str,
         jobs: Option<usize>,
     ) -> Result<bool> {
+        let Some(root_idx) = self.roots.iter().position(|r| r == name) else {
+            return Ok(false);
+        };
         let parse_start = std::time::Instant::now();
-        let opts = self.opts(jobs);
-        let od = options_digest(&opts);
+        let opts = opts(&self.linter, jobs);
         let lib = self.linter.library_digest();
-        let st = self.state.as_mut().expect("try_patch requires warm state");
+        let State { built: bp, def_diags, unstable, check_ms } =
+            self.state.as_mut().expect("try_patch requires warm state");
         // Preconditions on the previous build of this root: it must have
         // parsed cleanly (a partial unit cannot be paired) and contributed
         // no semantic errors (their spans would go stale).
-        if !st.root_syntax_diags[root_idx].is_empty() {
+        if !bp.root_syntax_diags[root_idx].is_empty() {
             return Ok(false);
         }
-        let plan = st.root_file_plans[root_idx].clone();
+        let plan = bp.root_file_plans[root_idx].clone();
         if plan.is_empty() {
             return Ok(false);
         }
         let root_fid = plan[0];
-        if st.program.errors.iter().any(|e| plan.contains(&e.span.file)) {
+        if bp.program.errors.iter().any(|e| plan.contains(&e.span.file)) {
             return Ok(false);
         }
 
@@ -465,25 +368,25 @@ impl Session {
         // `new_text` wins over the canonical entry: overlay patches check
         // a text the canonical file set does not hold.
         provider.insert(&self.roots[root_idx], new_text);
-        st.sm.begin_replay(plan.clone());
-        let out = match preprocess(&self.roots[root_idx], &provider, &mut st.sm) {
+        bp.sm.begin_replay(plan.clone());
+        let out = match preprocess(&self.roots[root_idx], &provider, &mut bp.sm) {
             Ok(out) => out,
             Err(_) => {
                 // The map may hold partially replayed texts; only a full
                 // rebuild (fresh map) is safe now.
-                let _ = st.sm.end_replay();
+                let _ = bp.sm.end_replay();
                 return Ok(false);
             }
         };
-        if !st.sm.end_replay() {
+        if !bp.sm.end_replay() {
             return Ok(false);
         }
 
         // Re-parse with exactly the typedef context the old build used:
         // the borrowed inherited names plus the typedefs of earlier roots
         // (`typedef_prefix[0]` is where the roots' entries start).
-        let mut parser = Parser::with_inherited(out.tokens, &st.inherited);
-        for t in &st.typedefs[st.typedef_prefix[0]..st.typedef_prefix[root_idx]] {
+        let mut parser = Parser::with_inherited(out.tokens, &bp.inherited);
+        for t in &bp.typedefs[bp.typedef_prefix[0]..bp.typedef_prefix[root_idx]] {
             parser.add_typedef(t.as_str());
         }
         let (new_tu, errors) = parser.parse_translation_unit_recovering();
@@ -496,8 +399,8 @@ impl Session {
         // function definition keeps its exact header bytes — so the only
         // semantic deltas are function bodies, and the only table deltas
         // are spans.
-        let unit_idx = st.root_start + root_idx;
-        let old_tu = &st.units[unit_idx];
+        let unit_idx = bp.root_start + root_idx;
+        let old_tu = &bp.units[unit_idx];
         if old_tu.items.len() != new_tu.items.len() {
             return Ok(false);
         }
@@ -505,7 +408,6 @@ impl Session {
         let mut reloc: Vec<(Symbol, Span, Span)> = Vec::new();
         // New definition headers paired with the old definition order.
         let mut new_defs: Vec<&lclint_syntax::ast::FunctionDef> = Vec::new();
-        let mut changed_defs: Vec<usize> = Vec::new();
         for (old_item, new_item) in old_tu.items.iter().zip(&new_tu.items) {
             match (old_item, new_item) {
                 (Item::Decl(od), Item::Decl(nd)) => {
@@ -537,14 +439,13 @@ impl Session {
                             (Some(a), Some(b)) if a == b => {}
                             _ => return Ok(false),
                         }
-                        changed_defs.push(new_defs.len());
                     }
                     new_defs.push(nf);
                 }
                 _ => return Ok(false),
             }
         }
-        let def_range = st.def_counts[unit_idx]..st.def_counts[unit_idx + 1];
+        let def_range = bp.def_counts[unit_idx]..bp.def_counts[unit_idx + 1];
         if def_range.len() != new_defs.len() {
             return Ok(false);
         }
@@ -555,15 +456,15 @@ impl Session {
         // spans relocated wherever the old span is still the registered one.
         for (k, nf) in new_defs.iter().enumerate() {
             let i = def_range.start + k;
-            let old_span = st.program.defs[i].sig.span;
-            let mut sig = st.program.defs[i].sig.clone();
+            let old_span = bp.program.defs[i].sig.span;
+            let mut sig = bp.program.defs[i].sig.clone();
             sig.span = nf.span;
-            if let Some(f) = st.program.functions.get_mut(&sig.name) {
+            if let Some(f) = bp.program.functions.get_mut(&sig.name) {
                 if f.span == old_span {
                     f.span = nf.span;
                 }
             }
-            st.program.defs[i] = lclint_sema::CheckedFunction {
+            bp.program.defs[i] = lclint_sema::CheckedFunction {
                 sig,
                 ast: (*nf).clone(),
                 arena: std::sync::Arc::clone(&new_tu.arena),
@@ -572,24 +473,24 @@ impl Session {
         let mut exports: FxHashSet<Symbol> = FxHashSet::default();
         for &(name, old_span, new_span) in &reloc {
             exports.insert(name);
-            if let Some(g) = st.program.globals.get_mut(&name) {
+            if let Some(g) = bp.program.globals.get_mut(&name) {
                 if g.span == old_span {
                     g.span = new_span;
                 }
             }
-            if let Some(f) = st.program.functions.get_mut(&name) {
+            if let Some(f) = bp.program.functions.get_mut(&name) {
                 if f.span == old_span {
                     f.span = new_span;
                 }
             }
         }
         for i in def_range.clone() {
-            exports.insert(st.program.defs[i].sig.name);
+            exports.insert(bp.program.defs[i].sig.name);
         }
-        st.root_controls[root_idx] = out.controls;
-        st.units[unit_idx] = new_tu;
-        st.parse_ms = parse_start.elapsed().as_secs_f64() * 1000.0;
-        st.sema_ms = 0.0;
+        bp.root_controls[root_idx] = out.controls;
+        bp.units[unit_idx] = new_tu;
+        bp.parse_ms = parse_start.elapsed().as_secs_f64() * 1000.0;
+        bp.sema_ms = 0.0;
 
         // Dirty set: the patched unit's definitions (their spans moved),
         // plus every definition elsewhere that resolved a name this file
@@ -597,14 +498,14 @@ impl Session {
         // everything whose last result was unstable. Clean definitions are
         // provably bit-identical: their fingerprints are span-free and
         // none of their anchors moved.
-        let defs_len = st.program.defs.len();
+        let defs_len = bp.program.defs.len();
         let mut dirty: Vec<usize> = def_range.clone().collect();
         for i in 0..defs_len {
             if def_range.contains(&i) {
                 continue;
             }
-            let name = st.program.defs[i].sig.name;
-            if st.unstable.contains(&name) {
+            let name = bp.program.defs[i].sig.name;
+            if unstable.contains(&name) {
                 dirty.push(i);
                 continue;
             }
@@ -620,90 +521,83 @@ impl Session {
             }
         }
         dirty.sort_unstable();
-        let _ = changed_defs; // the probe re-derives changed-vs-moved itself
 
-        self.inc.prepare(od, lib);
         let check_start = std::time::Instant::now();
         let mut slots: Vec<Option<Vec<Diagnostic>>> = vec![None; defs_len];
-        let unstable_idx = check_program_cached_slots(
-            &st.program,
-            &opts,
-            lib,
-            &mut self.inc.cache,
-            &dirty,
-            &mut slots,
-        );
-        st.check_ms = check_start.elapsed().as_secs_f64() * 1000.0;
-        let _ = self.inc.persist(od, lib);
+        let unstable_idx = self.inc.check(&bp.program, &opts, lib, &dirty, &mut slots);
+        *check_ms = check_start.elapsed().as_secs_f64() * 1000.0;
         for &i in &dirty {
-            st.def_diags[i] = slots[i].take().unwrap_or_default();
-            let name = st.program.defs[i].sig.name;
-            st.unstable.remove(&name);
+            def_diags[i] = slots[i].take().unwrap_or_default();
+            let name = bp.program.defs[i].sig.name;
+            unstable.remove(&name);
         }
         for &i in &unstable_idx {
-            let name = st.program.defs[i].sig.name;
-            st.unstable.insert(name);
+            let name = bp.program.defs[i].sig.name;
+            unstable.insert(name);
         }
+        self.fast_patches += 1;
         Ok(true)
     }
 
-    /// Builds a [`CheckResult`] from the warm state, applying flag and
-    /// suppression filtering exactly as the batch driver does.
+    /// Builds a [`CheckResult`] from the warm state through the batch
+    /// driver's own tail ([`Linter::finish`]).
     fn assemble(&mut self) -> CheckResult {
-        let cache_stats: CacheStats = self.inc.take_stats();
         let st = self.state.as_ref().expect("assemble requires state");
-        let sema_errors: Vec<String> = st
-            .program
-            .errors
-            .iter()
-            .map(|e| {
-                let loc = st.sm.loc(e.span);
-                format!("{loc}: {}", e.message)
-            })
-            .collect();
-        let mut diags: Vec<Diagnostic> = st.def_diags.iter().flatten().cloned().collect();
-        diags.extend(st.pre_root_diags.iter().cloned());
-        diags.extend(st.root_syntax_diags.iter().flatten().cloned());
-        diags.retain(|d| self.linter.flags.enabled(d.kind));
-        diags.sort_by_key(|d| (d.span.file, d.span.start));
-        let (diags, suppressed) = if self.linter.flags.suppression_comments {
-            let controls: Vec<ControlComment> =
-                st.root_controls.iter().flatten().cloned().collect();
-            let set = SuppressionSet::build(&controls, &st.sm);
-            set.filter(diags, &st.sm, |d| d.span)
-        } else {
-            (diags, 0)
-        };
-        let rendered: Vec<RenderedDiagnostic> =
-            diags.iter().map(|d| RenderedDiagnostic::resolve(d, &st.sm)).collect();
-        self.last_cwe_counts.clear();
-        for d in &rendered {
-            if let Some(id) = d.cwe {
-                *self.last_cwe_counts.entry(id).or_insert(0) += 1;
-            }
-        }
-        let mut substrate = SubstrateStats {
-            frontend_jobs: st.frontend_jobs,
-            typedef_reparses: st.typedef_reparses,
-            ..SubstrateStats::default()
-        };
-        substrate.arena.absorb(&st.stdlib_arena);
-        for u in &st.units {
-            substrate.arena.absorb(&u.arena.stats());
-        }
-        substrate.symbols = lclint_syntax::symbol_count();
-        CheckResult {
-            diagnostics: rendered,
-            suppressed,
-            sema_errors,
-            source_map: st.sm.clone(),
-            cache_stats: Some(cache_stats),
-            check_ms: st.check_ms,
-            parse_ms: st.parse_ms,
-            sema_ms: st.sema_ms,
-            substrate,
-        }
+        let diags = st.def_diags.iter().flatten().cloned().collect();
+        let stats = self.inc.cache.take_stats();
+        self.linter.finish(&st.built, st.built.sm.clone(), diags, Some(stats), st.check_ms)
     }
+
+    /// A cached batch run: a one-shot session over the caller's cache.
+    /// It builds and checks cold exactly as a session's first check does,
+    /// then hands the build to the shared tail instead of keeping it warm,
+    /// so neither the file set nor the source map is copied.
+    pub(crate) fn once(
+        linter: &Linter,
+        files: &[(String, String)],
+        roots: &[String],
+        inc: &mut IncrementalSession,
+    ) -> Result<CheckResult> {
+        let State { mut built, def_diags, check_ms, .. } =
+            State::cold(linter, inc, files, roots, None)?;
+        let sm = std::mem::take(&mut built.sm);
+        let diags = def_diags.into_iter().flatten().collect();
+        Ok(linter.finish(&built, sm, diags, Some(inc.cache.take_stats()), check_ms))
+    }
+}
+
+impl State {
+    /// A cold build of `roots`, every definition checked through `inc`'s
+    /// cache.
+    fn cold(
+        linter: &Linter,
+        inc: &mut IncrementalSession,
+        files: &[(String, String)],
+        roots: &[String],
+        jobs: Option<usize>,
+    ) -> Result<State> {
+        let opts = opts(linter, jobs);
+        let built = linter.build_program(files, roots, opts.jobs)?;
+        let check_start = std::time::Instant::now();
+        let defs = &built.program.defs;
+        let indices: Vec<usize> = (0..defs.len()).collect();
+        let mut slots: Vec<Option<Vec<Diagnostic>>> = vec![None; defs.len()];
+        let unstable_idx =
+            inc.check(&built.program, &opts, linter.library_digest(), &indices, &mut slots);
+        let check_ms = check_start.elapsed().as_secs_f64() * 1000.0;
+        let unstable = unstable_idx.iter().map(|&i| defs[i].sig.name).collect();
+        let def_diags = slots.into_iter().map(|s| s.unwrap_or_default()).collect();
+        Ok(State { built, def_diags, unstable, check_ms })
+    }
+}
+
+/// The linter's analysis options with `jobs` overriding the worker count.
+fn opts(linter: &Linter, jobs: Option<usize>) -> AnalysisOptions {
+    let mut opts = linter.flags.analysis.clone();
+    if let Some(j) = jobs {
+        opts.jobs = j;
+    }
+    opts
 }
 
 /// The header bytes of a definition: everything from the start of the item

@@ -39,6 +39,7 @@ pub use lclint_syntax::json;
 
 use json::{Json, Writer};
 use lclint_core::{CheckResult, Session};
+use std::collections::BTreeMap;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::TcpListener;
 use std::os::unix::net::UnixListener;
@@ -47,12 +48,14 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// Cumulative cache counters across every request the daemon has served.
-#[derive(Debug, Default, Clone, Copy)]
+/// Cumulative cache counters across every request the daemon has served,
+/// plus the per-CWE message counts of the last check it served.
+#[derive(Debug, Default, Clone)]
 struct Totals {
     requests: u64,
     cache_hits: u64,
     cache_misses: u64,
+    cwe_counts: BTreeMap<u32, usize>,
 }
 
 /// Anything that can serve the line-delimited JSON protocol: one request
@@ -151,6 +154,7 @@ impl Daemon {
             Err(e) => return error_response(id, &format!("build failed: {e}")),
         };
         totals.requests += 1;
+        totals.cwe_counts = result.counts_by_cwe();
         if let Some(cs) = &result.cache_stats {
             totals.cache_hits += cs.hits as u64;
             totals.cache_misses += cs.misses as u64;
@@ -168,14 +172,8 @@ impl Daemon {
         } else {
             0.0
         };
-        let mut cwe = String::from("{");
-        for (i, (id, n)) in session.cwe_counts().iter().enumerate() {
-            if i > 0 {
-                cwe.push(',');
-            }
-            cwe.push_str(&format!("\"{id}\":{n}"));
-        }
-        cwe.push('}');
+        let cwe =
+            totals.cwe_counts.iter().fold(Writer::obj(), |w, (id, n)| w.num(&id.to_string(), *n));
         let body = Writer::obj()
             .num("requests", totals.requests as usize)
             .num("rebuilds", s.rebuilds)
@@ -189,7 +187,7 @@ impl Daemon {
             .num("symbols", s.symbols)
             .num("interned_bytes", s.interned_bytes)
             .num("arena_bytes", s.arena_bytes)
-            .raw("cwe_counts", &cwe)
+            .raw("cwe_counts", &cwe.done())
             .done();
         result_response(id, &body)
     }
