@@ -18,7 +18,7 @@
 //!   --emit-lib      print the interface library of the inputs and exit
 //!   --run ENTRY     interpret ENTRY() after checking (runtime baseline)
 //!   --incremental DIR  persist a per-function result cache under DIR
-//!   --stats         print cache/checking counters to stderr
+//!   --stats         print cache/checking counters and phase times to stderr
 //!   --infer         infer missing null/only/out annotations and print a
 //!                   diff-style report (machine-readable with --json)
 //!   --infer-apply FILE  rewrite FILE (one of the checked .c inputs) with
@@ -785,6 +785,13 @@ fn main() -> ExitCode {
             eprintln!(
                 "rlclint: front end: {} jobs, {} typedef re-parses",
                 sub.frontend_jobs, sub.typedef_reparses
+            );
+            // Sema resolves each unit while later roots are still parsing:
+            // the parse figure is the front end's wall time less sema's.
+            eprintln!(
+                "rlclint: time: {:.1} ms parse, {:.1} ms sema (overlapping the parse), \
+                 {:.1} ms check",
+                result.parse_ms, result.sema_ms, result.check_ms
             );
             if let Some(b) = rss {
                 eprintln!("rlclint: peak RSS: {} KiB", b / 1024);

@@ -23,7 +23,8 @@ use lclint_syntax::stable_hash::StableHasher;
 use lclint_syntax::{Parser, Result, Symbol, SyntaxError, TranslationUnit};
 use std::cell::Cell;
 use std::collections::BTreeMap;
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock, PoisonError};
+use std::thread::JoinHandle;
 
 /// The preprocessed+parsed annotated standard library, computed once per
 /// process. `source_map` holds exactly the stdlib's file entries; a check
@@ -126,10 +127,12 @@ pub(crate) struct BuiltProgram {
     /// `roots` indices stay aligned.
     pub(crate) units: Vec<TranslationUnit>,
     pub(crate) root_start: usize,
-    /// Wall-clock milliseconds preprocessing and parsing every unit (a
-    /// session's patch overwrites it with the patch's own time).
+    /// Wall-clock milliseconds of the front end (preprocessing and
+    /// parsing every unit) less `sema_ms`, which overlaps it; a session's
+    /// patch overwrites it with the patch's own time.
     pub(crate) parse_ms: f64,
-    /// Wall-clock milliseconds resolving the program (name/type binding).
+    /// Milliseconds the committing thread spent resolving the program
+    /// (name/type binding), unit by unit as the front end delivered them.
     pub(crate) sema_ms: f64,
     /// Threads that preprocessed and parsed the roots.
     pub(crate) frontend_jobs: usize,
@@ -171,6 +174,48 @@ impl BuiltProgram {
             arena.absorb(&u.arena.stats());
         }
         arena
+    }
+
+    /// Frees a build its caller is done with. A build whose front end ran
+    /// on more than one worker is dropped on a short-lived thread, so the
+    /// caller returns while its arenas and tables are still being freed;
+    /// the next build joins that thread before it allocates, so two builds
+    /// never hold memory at once. The thread lives only as long as the
+    /// drop: a long-lived one keeps the malloc arena it attached to, and
+    /// the next build's memory ends up stranded there. One-root builds are
+    /// dropped inline: a spawn costs more than their drop.
+    pub(crate) fn release(self) {
+        if self.frontend_jobs <= 1 {
+            return;
+        }
+        let mut slot = TEARDOWN.lock().unwrap_or_else(PoisonError::into_inner);
+        // A teardown still pending here belongs to a build on another
+        // thread: the new thread joins it first, so the slot covers both.
+        let pending = slot.take();
+        let spawned =
+            std::thread::Builder::new().name("lclint-teardown".to_owned()).spawn(move || {
+                if let Some(h) = pending {
+                    let _ = h.join();
+                }
+                drop(self);
+            });
+        // A failed spawn dropped the closure, and the build with it, here.
+        *slot = spawned.ok();
+    }
+}
+
+/// The thread dropping the last build handed to [`BuiltProgram::release`],
+/// until the next [`Linter::build_program`] joins it.
+static TEARDOWN: Mutex<Option<JoinHandle<()>>> = Mutex::new(None);
+
+/// Waits for the pending [`BuiltProgram::release`] thread. The lock is
+/// held while waiting, so once this returns, on any thread, every build
+/// released before the call is freed. A panic while dropping costs the
+/// caller nothing and is not propagated.
+fn join_teardown() {
+    let mut slot = TEARDOWN.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some(h) = slot.take() {
+        let _ = h.join();
     }
 }
 
@@ -217,9 +262,12 @@ pub struct CheckResult {
     /// excludes preprocessing, parsing, and program construction). This is the phase the incremental cache
     /// accelerates, so benchmarks report it alongside total time.
     pub check_ms: f64,
-    /// Wall-clock milliseconds spent preprocessing and parsing.
+    /// Wall-clock milliseconds of the front end (preprocessing and
+    /// parsing) less `sema_ms`. Sema runs while the roots are still being
+    /// parsed, so `parse_ms + sema_ms` is the front end's wall time.
     pub parse_ms: f64,
-    /// Wall-clock milliseconds spent building the resolved program.
+    /// Milliseconds spent building the resolved program: the busy time of
+    /// the thread that resolves each unit as the front end commits it.
     pub sema_ms: f64,
     /// Flat-arena and interner counters for the run.
     pub substrate: SubstrateStats,
@@ -353,6 +401,7 @@ impl Linter {
         roots: &[String],
         jobs: usize,
     ) -> Result<BuiltProgram> {
+        join_teardown();
         let provider = BorrowedProvider::new(files);
         let mut sm = SourceMap::new();
         let mut units: Vec<TranslationUnit> = Vec::new();
@@ -393,6 +442,22 @@ impl Linter {
         }
         let mut inherited: FxHashSet<String> =
             typedefs.iter().map(|t| t.as_str().to_owned()).collect();
+        // Sema runs on this thread as the units arrive: `extend_with` in
+        // load order (stdlib, libraries, roots) with a `def_counts` mark
+        // after each, `def_counts[0]` marking the stdlib even when it is
+        // absent. These are the calls a sema after the whole parse makes.
+        let mut program = Program::new();
+        let mut def_counts: Vec<usize> = Vec::with_capacity(1 + self.libraries.len() + roots.len());
+        let mut sema_busy = std::time::Duration::ZERO;
+        let mut sema = |u: Option<&TranslationUnit>| {
+            let start = std::time::Instant::now();
+            if let Some(u) = u {
+                program.extend_with(u);
+            }
+            def_counts.push(program.defs.len());
+            sema_busy += start.elapsed();
+        };
+        sema(stdlib_unit);
         // Interface libraries are trusted configuration, not checked input:
         // a broken library stays a hard error.
         for (name, text) in &self.libraries {
@@ -403,27 +468,20 @@ impl Linter {
             let names = collect_typedef_names(&tu);
             inherited.extend(names.iter().map(|t| t.as_str().to_owned()));
             typedefs.extend(names);
+            sema(Some(&tu));
             units.push(tu);
         }
         let root_start = units.len();
         let frontend_jobs = effective_jobs(jobs, roots.len());
         let parsed =
-            parse_roots(roots, &provider, &mut sm, &inherited, &mut typedefs, frontend_jobs);
+            parse_roots(roots, &provider, &mut sm, &inherited, &mut typedefs, frontend_jobs, |u| {
+                sema(Some(u))
+            });
         units.extend(parsed.units);
-        let parse_ms = parse_start.elapsed().as_secs_f64() * 1000.0;
-
-        let sema_start = std::time::Instant::now();
-        let mut program = Program::new();
-        let mut def_counts: Vec<usize> = Vec::with_capacity(units.len() + 1);
-        if let Some(u) = stdlib_unit {
-            program.extend_with(u);
-        }
-        def_counts.push(program.defs.len());
-        for u in &units {
-            program.extend_with(u);
-            def_counts.push(program.defs.len());
-        }
-        let sema_ms = sema_start.elapsed().as_secs_f64() * 1000.0;
+        // Sema ran inside the front end's wall time, on the committing
+        // thread: the parse gets the rest.
+        let sema_ms = sema_busy.as_secs_f64() * 1000.0;
+        let parse_ms = parse_start.elapsed().as_secs_f64() * 1000.0 - sema_ms;
 
         let stdlib_arena = stdlib_unit.map(|u| u.arena.stats()).unwrap_or_default();
         Ok(BuiltProgram {
@@ -474,7 +532,9 @@ impl Linter {
         let diags = check_program(&built.program, &self.flags.analysis);
         let check_ms = check_start.elapsed().as_secs_f64() * 1000.0;
         let sm = std::mem::take(&mut built.sm);
-        Ok(self.finish(&built, sm, diags, None, check_ms))
+        let result = self.finish(&built, sm, diags, None, check_ms);
+        built.release();
+        Ok(result)
     }
 
     /// The one post-check tail of every check run, batch or session.
@@ -577,6 +637,78 @@ impl Linter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lclint_syntax::ast::Ast;
+    use std::sync::{Arc, Weak};
+
+    fn linter(jobs: usize) -> Linter {
+        let mut flags = Flags::default();
+        flags.analysis.jobs = jobs;
+        Linter::new(flags)
+    }
+
+    /// Two roots: with two jobs the front end runs two workers, so a
+    /// one-shot check frees the build on a teardown thread.
+    fn two_roots() -> (Vec<(String, String)>, Vec<String>) {
+        let files = vec![
+            ("a.c".to_owned(), "void a(void)\n{\n  char *p = (char *) malloc(4);\n}\n".to_owned()),
+            ("b.c".to_owned(), "int b(int x)\n{\n  return x + 1;\n}\n".to_owned()),
+        ];
+        (files, vec!["a.c".to_owned(), "b.c".to_owned()])
+    }
+
+    /// A handle on the first root's arena, alive while any of the build's
+    /// units or definitions is.
+    fn first_root_arena(built: &BuiltProgram) -> Weak<Ast> {
+        Arc::downgrade(&built.units[built.root_start].arena)
+    }
+
+    #[test]
+    fn a_released_multi_root_build_is_freed_before_the_next_build_returns() {
+        // Two large roots, so freeing them takes longer than the tiny
+        // build that follows unless that build waits for it.
+        let big = |k: usize| {
+            let text: String = (0..2000)
+                .map(|i| format!("int f{k}_{i}(int x)\n{{\n  return x + {i};\n}}\n"))
+                .collect();
+            (format!("big{k}.c"), text)
+        };
+        let files = vec![big(0), big(1)];
+        let roots: Vec<String> = files.iter().map(|(n, _)| n.clone()).collect();
+        let built = linter(2).build_program(&files, &roots, 2).unwrap();
+        assert_eq!(built.frontend_jobs, 2);
+        let arena = first_root_arena(&built);
+        built.release();
+        let tiny = [("one.c".to_owned(), "int one;\n".to_owned())];
+        let next = linter(2).build_program(&tiny, &["one.c".to_owned()], 2).unwrap();
+        assert!(arena.upgrade().is_none(), "the released build outlived the next build");
+        drop(next);
+    }
+
+    #[test]
+    fn a_one_root_build_is_freed_inline() {
+        let files = vec![("one.c".to_owned(), "int one;\n".to_owned())];
+        let roots = vec!["one.c".to_owned()];
+        let built = linter(2).build_program(&files, &roots, 2).unwrap();
+        assert_eq!(built.frontend_jobs, 1);
+        let arena = first_root_arena(&built);
+        built.release();
+        assert!(arena.upgrade().is_none(), "a one-root build left a teardown pending");
+        let r = linter(2).check_source("one.c", "int one;\n").unwrap();
+        assert_eq!(r.substrate.frontend_jobs, 1);
+    }
+
+    #[test]
+    fn a_session_keeps_its_build_across_checks_and_frees_it_when_dropped() {
+        let (files, roots) = two_roots();
+        let mut s = Session::new(linter(2), files, roots);
+        let first = s.check(None).unwrap();
+        let arena = first_root_arena(s.built().expect("warm state"));
+        let second = s.check(None).unwrap();
+        assert_eq!(first.render(), second.render());
+        assert!(arena.upgrade().is_some(), "the warm build was freed by a check");
+        drop(s);
+        assert!(arena.upgrade().is_none(), "dropping the session kept its build");
+    }
 
     #[test]
     fn infer_source_recovers_only_return_and_renders_diff() {

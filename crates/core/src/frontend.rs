@@ -31,7 +31,7 @@ use lclint_syntax::pp::{preprocess, BorrowedProvider};
 use lclint_syntax::span::{FileId, SourceMap};
 use lclint_syntax::{Parser, Symbol, SyntaxError, TranslationUnit};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::{mpsc, Condvar, Mutex, MutexGuard};
 
 /// Every root's contribution, in root order.
 #[derive(Default)]
@@ -55,6 +55,11 @@ pub(crate) struct Roots {
 /// their files in `sm` and appending the typedef names they declare to
 /// `typedefs`, exactly as a serial run in root order would. `inherited`
 /// holds every name `typedefs` held on entry.
+///
+/// The calling thread commits each root as soon as it and every earlier
+/// root have been parsed, and hands the committed unit to `on_unit`, so
+/// work on the units (sema) streams behind the workers instead of waiting
+/// for the last of them. `on_unit` sees the units in root order.
 pub(crate) fn parse_roots(
     roots: &[String],
     provider: &BorrowedProvider<'_>,
@@ -62,6 +67,7 @@ pub(crate) fn parse_roots(
     inherited: &FxHashSet<String>,
     typedefs: &mut Vec<Symbol>,
     jobs: usize,
+    mut on_unit: impl FnMut(&TranslationUnit),
 ) -> Roots {
     let front = FrontEnd { provider, inherited };
     let claims = Claims {
@@ -69,45 +75,55 @@ pub(crate) fn parse_roots(
         turn: Condvar::new(),
     };
     let next = AtomicUsize::new(0);
-    let per_worker: Vec<Vec<(usize, RootParse)>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..jobs)
-            .map(|_| {
-                let (front, claims, next) = (&front, &claims, &next);
-                std::thread::Builder::new()
-                    .name("lclint-frontend".to_owned())
-                    .stack_size(PARSE_STACK)
-                    .spawn_scoped(s, move || {
-                        let _guard = AbandonOnPanic(claims);
-                        let mut done = Vec::new();
-                        loop {
-                            let k = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(root) = roots.get(k) else { break done };
-                            // Root 0 has no earlier typedefs to miss.
-                            let claim = |local| claims.claim(k, local);
-                            done.push((k, front.parse(root, &[], claim, k > 0)));
-                        }
-                    })
-                    .expect("spawn front-end worker")
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
-            .collect()
-    });
-    *sm = claims.state.into_inner().unwrap_or_else(|e| e.into_inner()).sm;
-    let mut slots: Vec<Option<RootParse>> = (0..roots.len()).map(|_| None).collect();
-    for (k, parsed) in per_worker.into_iter().flatten() {
-        slots[k] = Some(parsed);
-    }
     let mut commit = Commit {
         out: Roots::default(),
         declared: FxHashSet::default(),
         inherited_len: typedefs.len(),
     };
-    for (root, parsed) in roots.iter().zip(slots) {
-        commit.root(root, parsed.expect("every root parsed"), &front, typedefs);
-    }
+    std::thread::scope(|s| {
+        let (tx, rx) = mpsc::channel::<(usize, RootParse)>();
+        let handles: Vec<_> = (0..jobs)
+            .map(|_| {
+                let (front, claims, next, tx) = (&front, &claims, &next, tx.clone());
+                std::thread::Builder::new()
+                    .name("lclint-frontend".to_owned())
+                    .stack_size(PARSE_STACK)
+                    .spawn_scoped(s, move || {
+                        let _guard = AbandonOnPanic(claims);
+                        loop {
+                            let k = next.fetch_add(1, Ordering::Relaxed);
+                            let Some(root) = roots.get(k) else { break };
+                            // Root 0 has no earlier typedefs to miss.
+                            let claim = |local| claims.claim(k, local);
+                            // A closed channel means the committing thread
+                            // is unwinding: stop parsing.
+                            if tx.send((k, front.parse(root, &[], claim, k > 0))).is_err() {
+                                break;
+                            }
+                        }
+                    })
+                    .expect("spawn front-end worker")
+            })
+            .collect();
+        // The loop ends once every worker has dropped its sender: all roots
+        // sent, or a worker panicked and the join below resumes its unwind.
+        drop(tx);
+        let mut arrived: Vec<Option<RootParse>> = (0..roots.len()).map(|_| None).collect();
+        let mut committed = 0;
+        for (k, parsed) in rx {
+            arrived[k] = Some(parsed);
+            while let Some(parsed) = arrived.get_mut(committed).and_then(Option::take) {
+                let unit = commit.root(&roots[committed], parsed, &front, typedefs);
+                on_unit(unit);
+                committed += 1;
+            }
+        }
+        for h in handles {
+            h.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+        }
+        assert_eq!(committed, roots.len(), "every root parsed");
+    });
+    *sm = claims.state.into_inner().unwrap_or_else(|e| e.into_inner()).sm;
     commit.out
 }
 
@@ -186,7 +202,7 @@ impl Commit {
         mut parsed: RootParse,
         front: &FrontEnd<'_>,
         typedefs: &mut Vec<Symbol>,
-    ) {
+    ) -> &TranslationUnit {
         let out = &mut self.out;
         out.typedef_prefix.push(typedefs.len());
         let mut diags = Vec::new();
@@ -217,6 +233,7 @@ impl Commit {
         out.controls.push(parsed.controls);
         out.syntax_diags.push(diags);
         out.file_plans.push((parsed.base..parsed.base + parsed.files).map(FileId).collect());
+        out.units.last().expect("just pushed")
     }
 }
 
@@ -401,7 +418,7 @@ mod tests {
         for jobs in [1, 2, 4] {
             let mut s = Session::new(linter(jobs), files.clone(), roots.clone());
             let r = s.check(None).unwrap();
-            let plans = s.root_file_plans().expect("warm state").to_vec();
+            let plans = s.built().expect("warm state").root_file_plans.clone();
             assert_eq!(observed(&r, &plans), expected, "session, jobs {jobs}");
         }
     }

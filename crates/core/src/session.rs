@@ -311,10 +311,10 @@ impl Session {
         }
     }
 
-    /// The file ids each root registered in the warm state's source map.
+    /// The warm state's build.
     #[cfg(test)]
-    pub(crate) fn root_file_plans(&self) -> Option<&[Vec<FileId>]> {
-        self.state.as_ref().map(|st| st.built.root_file_plans.as_slice())
+    pub(crate) fn built(&self) -> Option<&BuiltProgram> {
+        self.state.as_ref().map(|st| &st.built)
     }
 
     /// Full build: parse everything, resolve the program, check every
@@ -562,7 +562,9 @@ impl Session {
             State::cold(linter, inc, files, roots, None)?;
         let sm = std::mem::take(&mut built.sm);
         let diags = def_diags.into_iter().flatten().collect();
-        Ok(linter.finish(&built, sm, diags, Some(inc.cache.take_stats()), check_ms))
+        let result = linter.finish(&built, sm, diags, Some(inc.cache.take_stats()), check_ms);
+        built.release();
+        Ok(result)
     }
 }
 

@@ -1,8 +1,10 @@
 //! The parallel front end over generated multi-file corpora: the output
-//! is the same for every worker count, and since each generated file
-//! declares its own typedefs, no root's speculative parse needs a re-parse.
+//! is the same for every worker count. Each generated file declares its
+//! own typedefs, so no root's speculative parse needs a re-parse; a mixed
+//! corpus whose small roots are parsed before the large root 0 checks that
+//! roots committed (and resolved) as they stream in keep the serial order.
 
-use lclint_core::{Flags, Linter};
+use lclint_core::{Flags, Linter, Session};
 use lclint_corpus::generator::{generate, GenConfig};
 use lclint_syntax::FileId;
 
@@ -42,4 +44,82 @@ fn generated_corpus_matches_across_front_end_jobs_without_reparses() {
     assert!(runs[0].starts_with("gen"), "half-annotated code warns: {}", runs[0]);
     assert_eq!(runs[1], runs[0], "jobs 2 vs 1");
     assert_eq!(runs[2], runs[0], "jobs 4 vs 1");
+}
+
+/// Root 0 is a large generated file and roots 1..5 are small, so with more
+/// than one worker the small roots finish first and wait for root 0 before
+/// they are committed (and resolved). `types.c` declares a typedef that
+/// `user.c` uses, forcing one re-parse, and `again.c` defines root 0's
+/// `run_big` a second time: the sema error lands on whichever definition
+/// is resolved second.
+fn streaming_corpus() -> Vec<(String, String)> {
+    let big = generate(&GenConfig {
+        modules: 40,
+        annotation_level: 0.5,
+        seed: 7,
+        entry_suffix: "_big".to_owned(),
+        ..GenConfig::default()
+    });
+    let small = [
+        ("types.c", "typedef struct node { int v; } *node_t;\n"),
+        (
+            "user.c",
+            "void use_node(node_t n)\n{\n  char *q = (char *) malloc(2);\n  \
+             if (n != 0) { n->v = 1; }\n}\n",
+        ),
+        ("mid.c", MID),
+        ("again.c", "int run_big(int input)\n{\n  return input;\n}\n"),
+        ("tail.c", "int tail(int x)\n{\n  return x;\n}\n"),
+    ];
+    let mut files = vec![("big.c".to_owned(), big.source)];
+    files.extend(small.iter().map(|(n, t)| ((*n).to_owned(), (*t).to_owned())));
+    files
+}
+
+const MID: &str = "void mid(void)\n{\n  char *p = (char *) malloc(4);\n  free(p);\n}\n";
+/// A body-only edit of `mid.c`: a warm session patches it in place.
+const MID_LEAKS: &str = "void mid(void)\n{\n  char *p = (char *) malloc(4);\n  *p = 'a';\n}\n";
+
+#[test]
+fn streamed_commits_match_across_front_end_jobs_and_a_patched_session() {
+    let files = streaming_corpus();
+    let roots: Vec<String> = files.iter().map(|(n, _)| n.clone()).collect();
+    let edited: Vec<(String, String)> = files
+        .iter()
+        .map(|(n, t)| (n.clone(), if n == "mid.c" { MID_LEAKS.to_owned() } else { t.clone() }))
+        .collect();
+    let observed = |r: &lclint_core::CheckResult| {
+        let sm = &r.source_map;
+        let names: Vec<&str> = (0..sm.len() as u32).map(|i| sm.name(FileId(i))).collect();
+        format!(
+            "{}|{:?}|{}|{}|{names:?}",
+            r.render(),
+            r.sema_errors,
+            r.suppressed,
+            r.substrate.typedef_reparses
+        )
+    };
+    let cold = linter(1).check_files(&files, &roots).expect("corpus parses");
+    assert_eq!(cold.substrate.typedef_reparses, 1, "user.c needs types.c's node_t");
+    assert_eq!(cold.sema_errors, ["again.c:1: function `run_big` defined more than once"]);
+    assert!(cold.render().contains("user.c:3: Fresh storage q"), "{}", cold.render());
+    let expected = observed(&cold);
+    let cold_edited = linter(1).check_files(&edited, &roots).expect("corpus parses");
+    assert!(cold_edited.render().contains("mid.c:3: Fresh storage p"), "{}", cold_edited.render());
+    let expected_edited = observed(&cold_edited);
+
+    for jobs in [1, 2, 4] {
+        let r = linter(jobs).check_files(&files, &roots).expect("corpus parses");
+        assert_eq!(r.substrate.frontend_jobs, jobs);
+        assert_eq!(observed(&r), expected, "jobs {jobs}");
+
+        let mut s = Session::new(linter(jobs), files.clone(), roots.clone());
+        assert_eq!(observed(&s.check(None).unwrap()), expected, "session, jobs {jobs}");
+        let patched = s.did_change("mid.c", MID_LEAKS, None).unwrap();
+        assert_eq!(s.stats().fast_patches, 1, "jobs {jobs}");
+        assert_eq!(patched.render(), cold_edited.render(), "patched session, jobs {jobs}");
+        assert_eq!(patched.sema_errors, cold_edited.sema_errors, "jobs {jobs}");
+        let r = linter(jobs).check_files(&edited, &roots).expect("corpus parses");
+        assert_eq!(observed(&r), expected_edited, "edited, jobs {jobs}");
+    }
 }

@@ -209,13 +209,16 @@ impl Program {
         let base = self.resolve_type_spec(ast, &f.specs.ty, f.specs.span);
         let ty = self.build_declared_type(ast, base, &f.specs.annots, &f.declarator);
         let name = f.name();
-        let ft = match ty.ty {
+        let mut ft = match ty.ty {
             Type::Function(ft) => *ft,
             _ => {
                 self.err(format!("`{name}` defined with a non-function declarator"), f.span);
                 return;
             }
         };
+        // The signature is kept twice, in `functions` and `defs`, for the
+        // life of the program: drop the slack the parameter list grew with.
+        ft.params.shrink_to_fit();
         let sig = FunctionSig {
             name,
             ty: ft,
@@ -228,7 +231,7 @@ impl Program {
         // the annotations while the .c file does not).
         let merged = match self.functions.get(&name) {
             Some(proto) if !proto.has_def => {
-                let mut s = sig.clone();
+                let mut s = sig;
                 s.ty.ret.annots.inherit(&proto.ty.ret.annots);
                 for (sp, pp) in s.ty.params.iter_mut().zip(proto.ty.params.iter()) {
                     sp.ty.annots.inherit(&pp.ty.annots);
@@ -240,9 +243,9 @@ impl Program {
             }
             Some(def) if def.has_def => {
                 self.err(format!("function `{name}` defined more than once"), f.span);
-                sig.clone()
+                sig
             }
-            _ => sig.clone(),
+            _ => sig,
         };
         self.functions.insert(name, merged.clone());
         self.defs.push(CheckedFunction { sig: merged, ast: f.clone(), arena: Arc::clone(ast) });
