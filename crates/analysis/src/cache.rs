@@ -531,7 +531,6 @@ pub fn check_program_cached_slots(
     unstable
 }
 
-#[cfg(feature = "parallel")]
 fn check_misses_parallel(
     program: &Program,
     opts: &AnalysisOptions,
@@ -569,14 +568,4 @@ fn check_misses_parallel(
     // Deterministic order for phase 3 (stores and `checked` names).
     flat.sort_by_key(|(i, _, _)| *i);
     flat
-}
-
-#[cfg(not(feature = "parallel"))]
-fn check_misses_parallel(
-    _program: &Program,
-    _opts: &AnalysisOptions,
-    _misses: &[usize],
-    _jobs: usize,
-) -> Vec<FreshResult> {
-    unreachable!("effective_jobs returns 1 without the parallel feature")
 }

@@ -19,8 +19,8 @@ use lclint_syntax::Symbol;
 /// in source order.
 ///
 /// The paper's analysis is strictly per-procedure, so the definitions are
-/// independent work items: with the `parallel` feature (on by default) they
-/// fan out over `opts.jobs` worker threads (0 = all cores). Results are
+/// independent work items: they fan out over `opts.jobs` worker threads
+/// (0 = all cores). Results are
 /// merged in definition order, so the output is byte-identical to a
 /// sequential run regardless of the job count.
 pub fn check_program(program: &Program, opts: &AnalysisOptions) -> Vec<Diagnostic> {
@@ -37,9 +37,9 @@ pub fn check_program(program: &Program, opts: &AnalysisOptions) -> Vec<Diagnosti
 
 /// The worker count to use for `requested` (0 = all cores) over
 /// `work_items` independent items (definitions here, translation units in
-/// the front end). Always 1 when the `parallel` feature is off.
+/// the front end).
 pub fn effective_jobs(requested: usize, work_items: usize) -> usize {
-    if !cfg!(feature = "parallel") || work_items <= 1 {
+    if work_items <= 1 {
         return 1;
     }
     // Asking the OS for the core count reads cgroup files on Linux: only
@@ -51,7 +51,6 @@ pub fn effective_jobs(requested: usize, work_items: usize) -> usize {
     n.clamp(1, work_items)
 }
 
-#[cfg(feature = "parallel")]
 fn check_program_parallel(
     program: &Program,
     opts: &AnalysisOptions,
@@ -91,15 +90,6 @@ fn check_program_parallel(
         slots[i] = Some(diags);
     }
     slots.into_iter().flatten().flatten().collect()
-}
-
-#[cfg(not(feature = "parallel"))]
-fn check_program_parallel(
-    _program: &Program,
-    _opts: &AnalysisOptions,
-    _jobs: usize,
-) -> Vec<Diagnostic> {
-    unreachable!("effective_jobs returns 1 without the parallel feature")
 }
 
 /// Checks one function definition against its interface.

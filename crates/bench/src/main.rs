@@ -1,15 +1,15 @@
-//! `repro` — regenerates every table and series of the paper's evaluation
-//! and prints them (optionally writing JSON with `--json FILE`).
+//! `repro` — regenerates every table of the paper's evaluation and prints
+//! them (optionally writing JSON with `--json FILE`). It writes nothing
+//! else: end-to-end timing is `perfbench/`'s job.
 //!
 //! ```sh
 //! cargo run --release -p lclint-bench --bin repro
 //! ```
 
 use lclint_bench::{
-    annotation_sweep, cwe_expansion_table, daemon_table, database_table, detection_table,
-    figure_table, incremental_table, inference_table, library_speedup, par_speedup_table,
-    remote_cache_table, resilience_table, scaling_table, scoreboard_table, soundness_table,
-    stdlib_cache_stats, throughput_table, ToJson, PR6_PARSE_MS_100K, PRE_FLAT_BASELINE_MS_100K,
+    annotation_sweep, cwe_expansion_table, database_table, detection_table, figure_table,
+    incremental_table, inference_table, library_speedup, resilience_table, scaling_table,
+    soundness_table, ToJson,
 };
 use lclint_syntax::json::Writer;
 
@@ -68,27 +68,6 @@ fn main() {
          \u{20}        1995 DEC 3000/500. Measured per-KLOC spread: {:.1}x.",
         max / min
     );
-    println!("\nE9b. Parallel per-function checking (1 thread vs all cores)\n");
-    println!(
-        "{:>9} {:>12} {:>12} {:>9} {:>6} {:>10}",
-        "LOC", "seq (ms)", "par (ms)", "speedup", "jobs", "identical"
-    );
-    let par_sizes: &[usize] = if quick { &[2_000, 10_000] } else { &[2_000, 10_000, 50_000] };
-    let par_speedup = par_speedup_table(par_sizes);
-    for row in &par_speedup {
-        println!(
-            "{:>9} {:>12.1} {:>12.1} {:>8.2}x {:>6} {:>10}",
-            row.loc, row.seq_ms, row.par_ms, row.speedup, row.jobs, row.identical
-        );
-    }
-
-    let cache = stdlib_cache_stats(if quick { 20 } else { 100 });
-    println!(
-        "\n  stdlib parse cache: first call {:.2} ms, warm average {:.3} ms over\n\
-         \u{20}   {} calls ({} cache hits).",
-        cache.first_call_ms, cache.warm_avg_ms, cache.calls, cache.hits_delta
-    );
-
     let (full_ms, lib_ms) = library_speedup(5_000);
     println!(
         "\n  interface libraries (section 7): checking a client against a 5k-line\n\
@@ -286,170 +265,9 @@ fn main() {
         resilience.retention_pct, resilience.retained_diags, resilience.expected_diags
     );
     println!(
-        "  recovery overhead:      {:>7.1}% (strict {:.1} ms vs recovering {:.1} ms\n\
-         \u{20}                                  on the clean program)",
-        resilience.recovery_overhead_pct,
-        resilience.strict_parse_ms,
-        resilience.recovering_parse_ms
-    );
-    println!(
         "\n  a broken declaration degrades to a `syntax` message and the parser\n\
          \u{20}  resynchronizes; every function the mutation left intact is still\n\
          \u{20}  checked and reports byte-identical diagnostics."
-    );
-
-    // E16 ---------------------------------------------------------------------
-    let tp_sizes: &[usize] = if quick { &[5_000, 20_000] } else { &[5_000, 100_000, 1_000_000] };
-    println!("\nE16. Cold end-to-end throughput on the flat substrate\n");
-    println!(
-        "{:>9} {:>9} {:>8} {:>9} {:>9} {:>11} {:>9} {:>8} {:>8}",
-        "LOC", "parse ms", "sema ms", "check ms", "total ms", "LOC/s", "RSS MiB", "fp us", "pp us"
-    );
-    let throughput = throughput_table(tp_sizes);
-    for row in &throughput {
-        println!(
-            "{:>9} {:>9.1} {:>8.1} {:>9.1} {:>9.1} {:>11.0} {:>9.1} {:>8.2} {:>8.2}",
-            row.loc,
-            row.parse_ms,
-            row.sema_ms,
-            row.check_ms,
-            row.total_ms,
-            row.loc_per_sec,
-            row.peak_rss_bytes as f64 / (1024.0 * 1024.0),
-            row.flat_hash_us_per_fn,
-            row.pretty_hash_us_per_fn,
-        );
-    }
-    println!(
-        "\n  pre-refactor baseline at 100k LOC: {PRE_FLAT_BASELINE_MS_100K:.1} ms cold \
-         (the 2x acceptance bar is {:.1} ms).",
-        PRE_FLAT_BASELINE_MS_100K / 2.0
-    );
-
-    // E17 ---------------------------------------------------------------------
-    let (daemon_loc, daemon_files, daemon_edits) =
-        if quick { (10_000, 10, 40) } else { (100_000, 50, 200) };
-    println!(
-        "\nE17. Daemon edit-to-diagnostic latency \
-         ({daemon_loc} LOC across {daemon_files} files)\n"
-    );
-    println!(
-        "{:<22} {:>9} {:>9} {:>9} {:>8} {:>8} {:>10}",
-        "scenario", "requests", "p50 ms", "p99 ms", "rps", "patches", "identical"
-    );
-    let daemon = daemon_table(daemon_loc, daemon_files, daemon_edits);
-    for row in &daemon {
-        println!(
-            "{:<22} {:>9} {:>9.2} {:>9.2} {:>8.1} {:>8} {:>10}",
-            row.scenario,
-            row.requests,
-            row.p50_ms,
-            row.p99_ms,
-            row.rps,
-            row.fast_patches,
-            row.byte_identical
-        );
-    }
-    let cold_parse = daemon[0].parse_ms;
-    println!(
-        "\n  warm sessions keep the parsed program, check cache, and stdlib\n\
-         \u{20}  resident; an edit re-checks only the dirty functions. Cold\n\
-         \u{20}  preprocess+parse: {cold_parse:.1} ms vs the PR6 snapshot's \
-         {PR6_PARSE_MS_100K:.1} ms\n\
-         \u{20}  ({:+.1}%). Every response is byte-identical to a cold batch run.",
-        (cold_parse - PR6_PARSE_MS_100K) / PR6_PARSE_MS_100K * 100.0
-    );
-
-    // E19 ---------------------------------------------------------------------
-    let score_tasks = if quick { 60 } else { 500 };
-    println!(
-        "\nE19. Soundness scoreboard: {score_tasks} generated SV-COMP-style tasks,\n\
-         \u{20}    cold at shards 1/2/4 (fresh store) and a warm rerun (shared store)\n"
-    );
-    println!(
-        "{:<14} {:>6} {:>6} {:>13} {:>14} {:>10} {:>8} {:>7} {:>9} {:>7} {:>10}",
-        "scenario",
-        "shards",
-        "tasks",
-        "correct-true",
-        "correct-false",
-        "incorrect",
-        "unknown",
-        "score",
-        "wall ms",
-        "hit %",
-        "identical"
-    );
-    let (scoreboard, scoreboard_cats) = scoreboard_table(score_tasks, 2024);
-    for row in &scoreboard {
-        println!(
-            "{:<14} {:>6} {:>6} {:>13} {:>14} {:>10} {:>8} {:>7} {:>9.1} {:>6.1}% {:>10}",
-            row.scenario,
-            row.shards,
-            row.tasks,
-            row.correct_true,
-            row.correct_false,
-            row.incorrect,
-            row.unknown,
-            row.score,
-            row.wall_ms,
-            row.hit_rate_pct,
-            row.byte_identical
-        );
-    }
-    println!("\n  per category (cold, shards=1):");
-    for c in &scoreboard_cats {
-        println!(
-            "    {:<18} {:>4} tasks {:>4} true {:>4} false {:>3} unknown  score {:>5}",
-            c.category, c.tasks, c.correct_true, c.correct_false, c.unknown, c.score
-        );
-    }
-    println!(
-        "\n  timeouts, analysis budgets, and dead workers score `unknown`, never\n\
-         \u{20}  a verdict; the deterministic streams are byte-identical for every\n\
-         \u{20}  shard count, and the warm rerun answers every task from the store."
-    );
-
-    // E20 ---------------------------------------------------------------------
-    let remote_tasks = if quick { 60 } else { 400 };
-    println!(
-        "\nE20. Remote result cache: {remote_tasks} tasks against a live rlclintd\n\
-         \u{20}    --cas-serve daemon, a second host with an empty local store, a\n\
-         \u{20}    chaos-injected flaky remote, and a dead remote\n"
-    );
-    println!(
-        "{:<24} {:>9} {:>9} {:>11} {:>11} {:>10} {:>8} {:>7} {:>9} {:>10}",
-        "scenario",
-        "wall ms",
-        "cas hits",
-        "remote hit",
-        "remote put",
-        "miss",
-        "errors",
-        "trips",
-        "skipped",
-        "identical"
-    );
-    let remote_rows = remote_cache_table(remote_tasks, 2024);
-    for r in &remote_rows {
-        println!(
-            "{:<24} {:>9.1} {:>9} {:>11} {:>11} {:>10} {:>8} {:>7} {:>9} {:>10}",
-            r.scenario,
-            r.wall_ms,
-            r.cas_hits,
-            r.remote_hits,
-            r.remote_puts,
-            r.remote_misses,
-            r.remote_errors,
-            r.remote_trips,
-            r.remote_skipped,
-            r.byte_identical
-        );
-    }
-    println!(
-        "\n  the deterministic streams are byte-identical in every cell: a dead,\n\
-         \u{20}  slow, flaky, or corrupting remote costs bounded latency (deadline,\n\
-         \u{20}  bounded retries, circuit breaker), never a verdict or a byte."
     );
 
     if let Some(path) = json_path {
@@ -457,8 +275,6 @@ fn main() {
             .raw("figures", &figs.to_json())
             .raw("database_stages", &stages.to_json())
             .raw("scaling", &scaling.to_json())
-            .raw("par_speedup", &par_speedup.to_json())
-            .raw("stdlib_cache", &cache.to_json())
             .raw("annotation_sweep", &sweep.to_json())
             .raw("incremental", &incr.to_json())
             .raw("detection", &detect.to_json())
@@ -467,96 +283,8 @@ fn main() {
             .raw("soundness_clean", &soundness_clean.to_json())
             .raw("cwe_expansion", &cwe_rows.to_json())
             .raw("resilience", &resilience.to_json())
-            .raw("throughput", &throughput.to_json())
-            .raw("daemon", &daemon.to_json())
-            .raw("scoreboard", &scoreboard.to_json())
-            .raw("scoreboard_categories", &scoreboard_cats.to_json())
-            .raw("remote_cache", &remote_rows.to_json())
             .done();
         std::fs::write(&path, blob).unwrap_or_else(|e| eprintln!("cannot write {path}: {e}"));
         println!("\nresults written to {path}");
-
-        // One snapshot per experiment at the repository root.
-        let snapshots = [
-            (
-                "BENCH_PR2.json",
-                Writer::obj()
-                    .str("bench", "incremental-warm-vs-cold")
-                    .num("target_loc", incr_loc)
-                    .f64("warm_speedup", incr[0].check_ms / incr[1].check_ms.max(1e-9))
-                    .f64("warm_speedup_total", incr[0].ms / incr[1].ms.max(1e-9))
-                    .raw("scenarios", &incr.to_json()),
-            ),
-            (
-                "BENCH_PR3.json",
-                Writer::obj()
-                    .str("bench", "annotation-inference-round-trip")
-                    .num("target_loc", infer_loc)
-                    .raw("inference_table", &infer.to_json()),
-            ),
-            (
-                "BENCH_PR4.json",
-                Writer::obj()
-                    .str("bench", "differential-soundness")
-                    .raw("clean", &soundness_clean.to_json())
-                    .raw("soundness_table", &soundness.to_json()),
-            ),
-            (
-                "BENCH_PR5.json",
-                Writer::obj().str("bench", "crash-resilience").raw("report", &resilience.to_json()),
-            ),
-            (
-                "BENCH_PR6.json",
-                Writer::obj()
-                    .str("bench", "flat-substrate-throughput")
-                    .f64("pre_flat_baseline_ms_100k", PRE_FLAT_BASELINE_MS_100K)
-                    .raw("rows", &throughput.to_json()),
-            ),
-            (
-                "BENCH_PR7.json",
-                Writer::obj()
-                    .str("bench", "daemon-edit-to-diagnostic")
-                    .num("target_loc", daemon_loc)
-                    .num("file_count", daemon_files)
-                    .f64("pr6_parse_ms_100k", PR6_PARSE_MS_100K)
-                    .raw("bars", r#"{"warm_one_edit_p50_ms":10.0,"throughput_4_clients_rps":100.0}"#)
-                    .raw("rows", &daemon.to_json()),
-            ),
-            (
-                "BENCH_PR8.json",
-                Writer::obj()
-                    .str("bench", "cwe-taxonomy-expansion")
-                    .raw("bars", r#"{"recall_pct":90.0,"fp":0,"false_negatives":0}"#)
-                    .raw("rows", &cwe_rows.to_json()),
-            ),
-            (
-                "BENCH_PR9.json",
-                Writer::obj()
-                    .str("bench", "soundness-scoreboard")
-                    .num("suite_tasks", score_tasks)
-                    .raw("bars", r#"{"incorrect":0,"byte_identical":true,"warm_speedup_x":3.0}"#)
-                    .raw("rows", &scoreboard.to_json())
-                    .raw("categories", &scoreboard_cats.to_json()),
-            ),
-            (
-                "BENCH_PR10.json",
-                Writer::obj()
-                    .str("bench", "remote-result-cache")
-                    .num("suite_tasks", remote_tasks)
-                    .raw(
-                        "bars",
-                        r#"{"byte_identical":true,"warm_second_host_speedup_x":3.0,"flaky_overhead_pct":25.0}"#,
-                    )
-                    .raw("rows", &remote_rows.to_json()),
-            ),
-        ];
-        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-        for (file, doc) in snapshots {
-            let snap = root.join(file);
-            match std::fs::write(&snap, doc.done() + "\n") {
-                Ok(()) => println!("snapshot written to {}", snap.display()),
-                Err(e) => eprintln!("cannot write {}: {e}", snap.display()),
-            }
-        }
     }
 }

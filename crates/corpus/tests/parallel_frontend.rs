@@ -3,6 +3,8 @@
 //! own typedefs, so no root's speculative parse needs a re-parse; a mixed
 //! corpus whose small roots are parsed before the large root 0 checks that
 //! roots committed (and resolved) as they stream in keep the serial order.
+//! A warm session editing one file of the generated corpus takes the patch
+//! fast path on every edit and renders what a cold batch run renders.
 
 use lclint_core::{Flags, Linter, Session};
 use lclint_corpus::generator::{generate, GenConfig};
@@ -14,8 +16,9 @@ fn linter(jobs: usize) -> Linter {
     Linter::new(flags)
 }
 
-#[test]
-fn generated_corpus_matches_across_front_end_jobs_without_reparses() {
+/// Eight self-contained half-annotated files with disjoint module ranges
+/// and per-file entry points, so the combined program has no collisions.
+fn generated_corpus() -> (Vec<(String, String)>, Vec<String>) {
     let files: Vec<(String, String)> = (0..8)
         .map(|k| {
             let g = generate(&GenConfig {
@@ -29,7 +32,13 @@ fn generated_corpus_matches_across_front_end_jobs_without_reparses() {
             (format!("gen{k}.c"), g.source)
         })
         .collect();
-    let roots: Vec<String> = files.iter().map(|(n, _)| n.clone()).collect();
+    let roots = files.iter().map(|(n, _)| n.clone()).collect();
+    (files, roots)
+}
+
+#[test]
+fn generated_corpus_matches_across_front_end_jobs_without_reparses() {
+    let (files, roots) = generated_corpus();
     let runs: Vec<String> = [1, 2, 4]
         .iter()
         .map(|&jobs| {
@@ -122,4 +131,38 @@ fn streamed_commits_match_across_front_end_jobs_and_a_patched_session() {
         let r = linter(jobs).check_files(&edited, &roots).expect("corpus parses");
         assert_eq!(observed(&r), expected_edited, "edited, jobs {jobs}");
     }
+}
+
+/// The daemon's edit loop without the clock: one-function edits of
+/// `gen0.c` at the generator's `/*MUTATION-POINT*/`, alternating two
+/// bodies so every request is a real content change. Every edit must take
+/// the patch fast path, and every render must match a cold batch run over
+/// the same file contents.
+#[test]
+fn alternating_edits_patch_in_place_and_match_cold_batch_runs() {
+    const EDITS: usize = 6;
+    let (files, roots) = generated_corpus();
+    let base = &files[0].1;
+    let variant = |k: usize| {
+        base.replace("/*MUTATION-POINT*/", &format!("  total = total + {k};\n/*MUTATION-POINT*/"))
+    };
+    let cold: Vec<String> = (0..2)
+        .map(|k| {
+            let mut edited = files.clone();
+            edited[0].1 = variant(k);
+            linter(0).check_files(&edited, &roots).expect("corpus parses").render()
+        })
+        .collect();
+    assert_ne!(cold[0], "", "half-annotated code warns");
+
+    let mut session = Session::new(linter(0), files.clone(), roots.clone());
+    session.check(None).expect("cold session check");
+    let before = session.stats();
+    for k in 0..EDITS {
+        let r = session.did_change("gen0.c", &variant(k % 2), None).expect("edit check");
+        assert_eq!(r.render(), cold[k % 2], "edit {k}");
+    }
+    let after = session.stats();
+    assert_eq!(after.fast_patches - before.fast_patches, EDITS, "{after:?}");
+    assert_eq!(after.rebuilds, before.rebuilds, "an edit fell back to a rebuild: {after:?}");
 }

@@ -4,10 +4,13 @@
 //! up, absent (cold/local-only), flaky, corrupting, down, and killed
 //! mid-run — every cell must match the local-only baseline byte for
 //! byte. A remote can cost bounded latency; it can never buy or lose a
-//! point.
+//! point. The latency bound is asserted on counters: a dead remote trips
+//! the breaker, which then skips more operations than ever reach the
+//! network.
 
 use lclint_core::{CasStore, Flags, StoreConfig};
 use lclint_fleet::coordinator::{run_suite, InProcessBackend, RunConfig};
+use lclint_fleet::score::SuiteReport;
 use lclint_fleet::suite::{generate_suite, TaskSpec};
 use lclint_server::cas::CasService;
 use lclint_server::serve_tcp;
@@ -49,10 +52,9 @@ fn dead_addr() -> String {
     listener.local_addr().unwrap().to_string()
 }
 
-fn run_cell(tasks: &[TaskSpec], store: StoreConfig) -> (String, String) {
+fn run_cell(tasks: &[TaskSpec], store: StoreConfig) -> SuiteReport {
     let backend = InProcessBackend { flags: Flags::default(), store };
-    let report = run_suite(tasks, &backend, &RunConfig::default());
-    (report.render_table(), report.render_verdicts())
+    run_suite(tasks, &backend, &RunConfig::default())
 }
 
 #[test]
@@ -123,9 +125,22 @@ fn scoreboard_is_byte_identical_across_the_degradation_matrix() {
     let mut dirs = Vec::new();
     for (name, store) in cells {
         dirs.extend(store.dir.clone());
-        let (table, verdicts) = run_cell(&tasks, store);
-        assert_eq!(baseline.0, table, "score table diverged in cell `{name}`");
-        assert_eq!(baseline.1, verdicts, "verdict listing diverged in cell `{name}`");
+        let report = run_cell(&tasks, store);
+        assert_eq!(
+            baseline.render_table(),
+            report.render_table(),
+            "score table diverged in cell `{name}`"
+        );
+        assert_eq!(
+            baseline.render_verdicts(),
+            report.render_verdicts(),
+            "verdict listing diverged in cell `{name}`"
+        );
+        if name == "down" {
+            let r = report.remote;
+            assert!(r.trips >= 1, "a dead remote must trip the breaker: {r:?}");
+            assert!(r.skipped > r.errors, "the breaker must cap network attempts: {r:?}");
+        }
     }
 
     stop_server(&addr, handle);
@@ -156,16 +171,19 @@ fn warm_remote_serves_a_second_host_without_changing_output() {
     // Host A runs cold and publishes through to the remote.
     let backend = InProcessBackend { flags: Flags::default(), store: cfg(&host_a) };
     let first = run_suite(&tasks, &backend, &RunConfig::default());
-    assert_eq!(baseline.0, first.render_table());
+    assert_eq!(baseline.render_table(), first.render_table());
     assert!(first.remote.puts > 0, "cold run must publish to the remote");
 
     // Host B has an empty local store: every artifact must come from the
     // remote, and the output must not move.
     let backend = InProcessBackend { flags: Flags::default(), store: cfg(&host_b) };
     let second = run_suite(&tasks, &backend, &RunConfig::default());
-    assert_eq!(baseline.0, second.render_table());
-    assert_eq!(baseline.1, second.render_verdicts());
-    assert!(second.remote.hits > 0, "second host must hit the remote");
+    assert_eq!(baseline.render_table(), second.render_table());
+    assert_eq!(baseline.render_verdicts(), second.render_verdicts());
+    let r = second.remote;
+    assert_eq!(r.hits, tasks.len() as u64, "every task must come from the remote: {r:?}");
+    assert_eq!(r.misses, 0, "{r:?}");
+    assert_eq!(r.puts, 0, "a remote hit must not be published again: {r:?}");
 
     stop_server(&addr, handle);
     for d in [host_a, host_b, srv_dir] {

@@ -1,7 +1,8 @@
 //! Property: the merged scoreboard is a pure function of the task list.
 //! For any subset of a generated suite and any shard count 1–4, the score
 //! table and the per-task verdict listing are byte-identical — sharding
-//! changes wall-clock time, never output.
+//! changes wall-clock time, never output. Store temperature does not
+//! change it either: a warm rerun answers every task from the store.
 
 use lclint_core::{Flags, StoreConfig};
 use lclint_fleet::coordinator::{run_suite, InProcessBackend, RunConfig};
@@ -65,4 +66,30 @@ fn rerunning_the_same_selection_is_bytewise_stable() {
         assert_eq!(once.render_table(), twice.render_table(), "{what}");
         assert_eq!(once.render_verdicts(), twice.render_verdicts(), "{what}");
     }
+}
+
+/// A 500-task suite (seed 2024) runs cold into a fresh store, then again
+/// against it. The rerun answers every task from the store without a miss,
+/// its output is byte-identical, and no verdict is incorrect. Only the
+/// rerun's counters are asserted: how a cold run splits hits and misses
+/// depends on scheduling once duplicate programs meet.
+#[test]
+fn warm_rerun_answers_every_task_from_the_store() {
+    const TASKS: usize = 500;
+    let tasks = generate_suite(TASKS, 2024);
+    let dir = std::env::temp_dir().join(format!("lclint-warm-rerun-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let b = InProcessBackend {
+        flags: Flags::default(),
+        store: StoreConfig::local(Some(dir.clone()), None),
+    };
+    let cold = run_suite(&tasks, &b, &RunConfig::default());
+    assert_eq!(cold.incorrect(), 0, "{}", cold.render_verdicts());
+    let warm = run_suite(&tasks, &b, &RunConfig::default());
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(warm.incorrect(), 0, "{}", warm.render_verdicts());
+    assert_eq!(warm.cas.misses, 0, "warm rerun re-checked a task: {:?}", warm.cas);
+    assert_eq!(warm.cas.hits, TASKS as u64, "{:?}", warm.cas);
+    assert_eq!(cold.render_table(), warm.render_table());
+    assert_eq!(cold.render_verdicts(), warm.render_verdicts());
 }

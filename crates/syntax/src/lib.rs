@@ -51,9 +51,7 @@ pub use pretty::{
     pretty_print, pretty_print_declaration, pretty_print_field, pretty_print_function,
 };
 pub use span::{FileId, Loc, SourceMap, Span};
-pub use stable_hash::{
-    function_def_hash, function_def_hash_pretty, token_stream_hash, StableHasher,
-};
+pub use stable_hash::{function_def_hash, token_stream_hash, StableHasher};
 
 use std::collections::HashMap;
 

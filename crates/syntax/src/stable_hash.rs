@@ -11,9 +11,7 @@
 //! node's tag and payload (identifier text via [`Symbol::text_hash`], which
 //! is precomputed at intern time). The old implementation rendered the
 //! function back to C text and hashed the string; the structural walk visits
-//! the same information without materializing it, and
-//! [`function_def_hash_pretty`] keeps the text-based variant alive so the
-//! two can be compared (equality of partition, cost in the E16 bench).
+//! the same information without materializing it.
 //!
 //! [`Span`]: crate::span::Span
 
@@ -138,15 +136,6 @@ pub fn function_def_hash(ast: &Ast, f: &FunctionDef) -> u64 {
     w.declarator(&f.declarator);
     w.stmt(f.body);
     w.h.finish()
-}
-
-/// The pre-arena fingerprint: FNV over the canonical pretty-printed text.
-/// Same invariance properties as [`function_def_hash`] but pays a full
-/// re-render per call; retained for cross-checking and the throughput bench.
-pub fn function_def_hash_pretty(ast: &Ast, f: &FunctionDef) -> u64 {
-    let mut h = StableHasher::new();
-    h.write_str(&crate::pretty::pretty_print_function(ast, f));
-    h.finish()
 }
 
 /// Structural walker folding arena nodes into a [`StableHasher`]. Every
@@ -627,29 +616,6 @@ mod tests {
         let annot = only_fn_hash("int f(/*@temp@*/ char *p) { return 0; }");
         assert_ne!(base, body);
         assert_ne!(base, annot);
-    }
-
-    #[test]
-    fn pretty_variant_has_the_same_invariance() {
-        // The text-based fingerprint must induce the same equal/distinct
-        // partition on these cases as the structural one.
-        let hash = |src: &str| {
-            let (tu, _, _) = parse_translation_unit("h.c", src).expect("parses");
-            let f = tu
-                .items
-                .iter()
-                .find_map(|i| match i {
-                    Item::Function(f) => Some(f),
-                    _ => None,
-                })
-                .expect("has a function");
-            function_def_hash_pretty(&tu.arena, f)
-        };
-        let lone = hash("int f(int a) { return a + 1; }");
-        let shifted = hash("int g;\n\nint f(int a) { return a + 1; }");
-        let edited = hash("int f(int a) { return a + 2; }");
-        assert_eq!(lone, shifted);
-        assert_ne!(lone, edited);
     }
 
     #[test]
