@@ -29,8 +29,10 @@
 //! flags and suppression comments happens *above* this layer, so flag
 //! changes never invalidate the cache.
 
-use crate::checker::{check_function_isolated, effective_jobs};
+use crate::castore::{encode_entry, function_key};
+use crate::checker::{check_function_isolated, CHECK_STACK};
 use crate::diag::{DiagKind, Diagnostic, Note};
+use crate::fan_out::{effective_jobs, fan_out};
 use crate::options::AnalysisOptions;
 use lclint_sema::deps::{digest_deps, DepSet};
 use lclint_sema::{CheckedFunction, Program};
@@ -39,9 +41,17 @@ use lclint_syntax::span::Span;
 use lclint_syntax::stable_hash::{function_def_hash, StableHasher};
 use lclint_syntax::Symbol;
 
-/// One freshly checked definition: its index, diagnostics, and recorded
-/// dependencies (`None` when the check degraded and must not be cached).
-type FreshResult = (usize, Vec<Diagnostic>, Option<DepSet>);
+/// What a miss's worker hands the ordered commit with its diagnostics,
+/// checked, relocated and fingerprinted: only the writes remain.
+enum Fresh {
+    /// Degraded by the fault guard: the diagnostics describe the failure,
+    /// not the function, so it is never stored and a warm run re-checks it.
+    Degraded,
+    /// A span had no stable anchor: not stored.
+    Uncacheable,
+    /// The entry, with its store key and payload when a store is attached.
+    Entry(CacheEntry, Option<(u64, Vec<u8>)>),
+}
 
 /// Bumped whenever fingerprinting, dependency recording, or the
 /// relocatable-diagnostic encoding changes meaning; on-disk caches carry it
@@ -379,10 +389,9 @@ fn rebase_diags(
         .collect()
 }
 
-/// Checks every definition in `program` through the cache: probe first,
-/// fan out only the misses over the parallel work queue, then merge in
-/// definition order (so output is byte-identical to [`check_program`] for
-/// any job count).
+/// Checks every definition in `program` through the cache: probe, check
+/// the misses on the parallel work queue, and commit in definition order
+/// (so output is byte-identical to [`check_program`] for any job count).
 ///
 /// `lib_digest` is the caller's digest of the loaded interface libraries
 /// (and anything else outside `program` that can change checking).
@@ -428,11 +437,13 @@ pub fn check_program_cached_slots(
 ) -> Vec<usize> {
     let od = options_digest(opts);
     let defs = &program.defs;
-    let mut misses: Vec<usize> = Vec::new();
+    // Each miss with its body hash, so the worker hashes no body twice.
+    let mut misses: Vec<(usize, u64)> = Vec::new();
     let mut unstable: Vec<usize> = Vec::new();
 
-    // Phase 1 — sequential probe. Hashing and digesting are orders of
-    // magnitude cheaper than checking, so this is not worth parallelizing.
+    // Phase 1, on the calling thread: probe the cache and the backing store
+    // in definition order (about 95 ms against a 1.1–1.3 s check at 1M
+    // lines).
     for &i in indices {
         let def = &defs[i];
         let body_hash = function_def_hash(&def.arena, &def.ast);
@@ -449,7 +460,7 @@ pub fn check_program_cached_slots(
         // fetched entry is held to exactly the same standard as an
         // in-memory one, and a reused one is a hit like any other.
         if let Some(store) = cache.backing.as_mut().filter(|_| reused.is_none()) {
-            let key = crate::castore::function_key(od, lib_digest, def.sig.name, body_hash);
+            let key = function_key(od, lib_digest, def.sig.name, body_hash);
             let fetched = store.get(key).and_then(|payload| {
                 let mut r = payload.as_slice();
                 let (name, entry) = crate::castore::decode_entry(&mut r)?;
@@ -472,100 +483,60 @@ pub fn check_program_cached_slots(
         } else {
             cache.stats.misses += 1;
         }
-        misses.push(i);
+        misses.push((i, body_hash));
     }
 
-    // Phase 2 — check the misses, in parallel when it pays. Each miss runs
-    // inside the per-function fault guard; a degraded function carries no
-    // dependency set.
-    let jobs = effective_jobs(opts.jobs, misses.len());
-    let fresh: Vec<(usize, Vec<Diagnostic>, Option<DepSet>)> = if jobs <= 1 {
-        misses
-            .iter()
-            .map(|&i| {
-                let def = &defs[i];
-                let r = check_function_isolated(program, def, opts, true);
-                (i, r.diags, r.deps)
-            })
-            .collect()
-    } else {
-        check_misses_parallel(program, opts, &misses, jobs)
-    };
-
-    // Phase 3 — store fresh results and merge. Degraded results (no deps)
-    // are never stored: their diagnostics describe the failure, not the
-    // function, and a warm run must re-check them.
-    for (i, diags, deps) in fresh {
+    // Phase 2, on the workers: check each miss in the fault guard while
+    // recording its dependencies, relocate, fingerprint and encode it.
+    let publish = cache.backing.is_some();
+    let work = |k: usize| {
+        let (i, body_hash) = misses[k];
         let def = &defs[i];
-        let body_hash = function_def_hash(&def.arena, &def.ast);
-        match deps {
-            Some(deps) => match to_reloc_diags(&diags, def.sig.span, program, &deps) {
-                Some(reloc) => {
-                    let fp = fingerprint(program, od, lib_digest, def, body_hash, &deps);
-                    let entry = CacheEntry { fingerprint: fp, deps, diags: reloc };
-                    // Publish to the shared store so sibling processes
-                    // skip the check. Degraded results never reach here.
-                    if let Some(store) = cache.backing.as_mut() {
-                        let key =
-                            crate::castore::function_key(od, lib_digest, def.sig.name, body_hash);
+        let r = check_function_isolated(program, def, opts, true);
+        let fresh = match r.deps {
+            None => Fresh::Degraded,
+            Some(deps) => match to_reloc_diags(&r.diags, def.sig.span, program, &deps) {
+                None => Fresh::Uncacheable,
+                Some(diags) => {
+                    let fingerprint = fingerprint(program, od, lib_digest, def, body_hash, &deps);
+                    let entry = CacheEntry { fingerprint, deps, diags };
+                    let payload = publish.then(|| {
                         let mut payload = Vec::new();
-                        crate::castore::encode_entry(&mut payload, def.sig.name, &entry);
-                        store.put(key, &payload);
-                    }
-                    cache.entries.insert(def.sig.name, entry);
-                }
-                None => {
-                    cache.stats.uncacheable += 1;
-                    unstable.push(i);
+                        encode_entry(&mut payload, def.sig.name, &entry);
+                        (function_key(od, lib_digest, def.sig.name, body_hash), payload)
+                    });
+                    Fresh::Entry(entry, payload)
                 }
             },
-            None => {
+        };
+        (r.diags, fresh)
+    };
+
+    // Phase 3, the ordered commit on the calling thread: publish to the
+    // shared store (so sibling processes skip the check), hold, count, fill.
+    let commit = |k: usize, (diags, fresh): (Vec<Diagnostic>, Fresh)| {
+        let i = misses[k].0;
+        let name = defs[i].sig.name;
+        match fresh {
+            Fresh::Entry(entry, payload) => {
+                if let (Some(store), Some((key, payload))) = (cache.backing.as_mut(), payload) {
+                    store.put(key, &payload);
+                }
+                cache.entries.insert(name, entry);
+            }
+            Fresh::Uncacheable => {
+                cache.stats.uncacheable += 1;
+                unstable.push(i);
+            }
+            Fresh::Degraded => {
                 cache.stats.degraded += 1;
                 unstable.push(i);
             }
         }
-        cache.stats.checked.push(def.sig.name.to_string());
+        cache.stats.checked.push(name.to_string());
         slots[i] = Some(diags);
-    }
-
+    };
+    let jobs = effective_jobs(opts.jobs, misses.len());
+    fan_out(jobs, "lclint-check", CHECK_STACK, misses.len(), work, commit);
     unstable
-}
-
-fn check_misses_parallel(
-    program: &Program,
-    opts: &AnalysisOptions,
-    misses: &[usize],
-    jobs: usize,
-) -> Vec<FreshResult> {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    let defs = &program.defs;
-    let next = AtomicUsize::new(0);
-    const WORKER_STACK: usize = 8 * 1024 * 1024;
-    let per_worker: Vec<Vec<FreshResult>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..jobs)
-            .map(|_| {
-                let next = &next;
-                std::thread::Builder::new()
-                    .name("lclint-check".to_owned())
-                    .stack_size(WORKER_STACK)
-                    .spawn_scoped(s, move || {
-                        let mut out = Vec::new();
-                        loop {
-                            let w = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(&i) = misses.get(w) else { break };
-                            let def = &defs[i];
-                            let r = check_function_isolated(program, def, opts, true);
-                            out.push((i, r.diags, r.deps));
-                        }
-                        out
-                    })
-                    .expect("spawn checker worker")
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("checker worker panicked")).collect()
-    });
-    let mut flat: Vec<FreshResult> = per_worker.into_iter().flatten().collect();
-    // Deterministic order for phase 3 (stores and `checked` names).
-    flat.sort_by_key(|(i, _, _)| *i);
-    flat
 }

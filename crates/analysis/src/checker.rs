@@ -3,6 +3,7 @@
 //! scope exits (paper §2, §5).
 
 use crate::diag::{DiagKind, Diagnostic};
+use crate::fan_out::{effective_jobs, fan_out};
 use crate::guard::{run_guarded, GuardOutcome};
 use crate::options::AnalysisOptions;
 use crate::refs::{Path, RefBase, RefId, RefStep, RefTable};
@@ -16,89 +17,30 @@ use lclint_syntax::span::Span;
 use lclint_syntax::Symbol;
 
 /// Checks every function definition in `program`, returning all diagnostics
-/// in source order.
-///
-/// The paper's analysis is strictly per-procedure, so the definitions are
-/// independent work items: they fan out over `opts.jobs` worker threads
-/// (0 = all cores). Results are
-/// merged in definition order, so the output is byte-identical to a
-/// sequential run regardless of the job count.
+/// in definition order: [`check_definitions`], appending as it commits.
 pub fn check_program(program: &Program, opts: &AnalysisOptions) -> Vec<Diagnostic> {
-    let jobs = effective_jobs(opts.jobs, program.defs.len());
-    if jobs <= 1 {
-        return program
-            .defs
-            .iter()
-            .flat_map(|def| check_function_isolated(program, def, opts, false).diags)
-            .collect();
-    }
-    check_program_parallel(program, opts, jobs)
+    let mut diags = Vec::new();
+    check_definitions(program, opts, |_, d| diags.extend(d));
+    diags
 }
 
-/// The worker count to use for `requested` (0 = all cores) over
-/// `work_items` independent items (definitions here, translation units in
-/// the front end).
-pub fn effective_jobs(requested: usize, work_items: usize) -> usize {
-    if work_items <= 1 {
-        return 1;
-    }
-    // Asking the OS for the core count reads cgroup files on Linux: only
-    // pay for it when the caller asked for "all cores".
-    let n = match requested {
-        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
-        n => n,
-    };
-    n.clamp(1, work_items)
-}
+/// Stack for a checker worker: deep expression trees recurse in
+/// `eval_expr`, so every check gets the main thread's 8 MiB.
+pub(crate) const CHECK_STACK: usize = 8 * 1024 * 1024;
 
-fn check_program_parallel(
+/// Checks every function definition in `program` in the fault guard, with
+/// no dependency recording, and hands definition `i`'s diagnostics to
+/// `commit` in definition order. The definitions are independent items
+/// (paper §2), so they [`fan_out`] over `opts.jobs` workers (0 = all cores).
+pub fn check_definitions(
     program: &Program,
     opts: &AnalysisOptions,
-    jobs: usize,
-) -> Vec<Diagnostic> {
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    commit: impl FnMut(usize, Vec<Diagnostic>),
+) {
     let defs = &program.defs;
-    let next = AtomicUsize::new(0);
-    // Deep expression trees recurse in eval_expr; give workers the same
-    // headroom the main thread has rather than the 2 MiB spawn default.
-    const WORKER_STACK: usize = 8 * 1024 * 1024;
-    let per_worker: Vec<Vec<(usize, Vec<Diagnostic>)>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..jobs)
-            .map(|_| {
-                let next = &next;
-                std::thread::Builder::new()
-                    .name("lclint-check".to_owned())
-                    .stack_size(WORKER_STACK)
-                    .spawn_scoped(s, move || {
-                        let mut out = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(def) = defs.get(i) else { break };
-                            let r = check_function_isolated(program, def, opts, false);
-                            out.push((i, r.diags));
-                        }
-                        out
-                    })
-                    .expect("spawn checker worker")
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("checker worker panicked")).collect()
-    });
-    // Deterministic merge: flatten in definition order.
-    let mut slots: Vec<Option<Vec<Diagnostic>>> = vec![None; defs.len()];
-    for (i, diags) in per_worker.into_iter().flatten() {
-        slots[i] = Some(diags);
-    }
-    slots.into_iter().flatten().flatten().collect()
-}
-
-/// Checks one function definition against its interface.
-pub fn check_function(
-    program: &Program,
-    def: &CheckedFunction,
-    opts: &AnalysisOptions,
-) -> Vec<Diagnostic> {
-    check_function_impl(program, def, opts, false).0
+    let jobs = effective_jobs(opts.jobs, defs.len());
+    let work = |i: usize| check_function_isolated(program, &defs[i], opts, false).diags;
+    fan_out(jobs, "lclint-check", CHECK_STACK, defs.len(), work, commit);
 }
 
 /// Result of one fault-isolated per-function check

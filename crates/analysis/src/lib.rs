@@ -30,6 +30,7 @@
 
 mod checker;
 mod eval;
+mod fan_out;
 mod guard;
 mod summary;
 
@@ -47,10 +48,9 @@ pub use cache::{
     CACHE_FORMAT_VERSION,
 };
 pub use castore::{CasStats, CasStore};
-pub use checker::{
-    check_function, check_function_isolated, check_program, effective_jobs, FunctionOutcome,
-};
+pub use checker::{check_definitions, check_function_isolated, check_program, FunctionOutcome};
 pub use diag::{DiagKind, Diagnostic, Note};
+pub use fan_out::{effective_jobs, fan_out};
 pub use infer::{
     infer_annotations, infer_annotations_into, InferResult, InferTarget, InferredAnnot,
 };

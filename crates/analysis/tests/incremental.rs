@@ -148,13 +148,21 @@ fn cached_output_is_jobs_invariant() {
     let moved = format!("/* prologue comment */\n\n{src}");
     let p1 = program(src);
     let p2 = program(&moved);
-    for jobs in [1usize, 4] {
+    // The cold run's counters, `checked` order included, and every stored
+    // entry, as the first job count left them.
+    let mut first_cold = None;
+    for jobs in [1usize, 2, 4] {
         let opts = AnalysisOptions { jobs, ..Default::default() };
         let mut cache = CheckCache::new();
         let cold = check_program_cached(&p1, &opts, 0, &mut cache);
         assert_eq!(cold, check_program(&p1, &opts), "jobs={jobs}");
         let stats = cache.take_stats();
         assert_eq!(stats.misses, 2, "jobs={jobs}: {stats:?}");
+        let mut entries: Vec<_> =
+            cache.entries().map(|(name, e)| (name.to_string(), e.clone())).collect();
+        entries.sort_by(|a, b| a.0.cmp(&b.0));
+        let observed = (stats, entries);
+        assert_eq!(first_cold.get_or_insert_with(|| observed.clone()), &observed, "jobs={jobs}");
 
         let warm = check_program_cached(&p2, &opts, 0, &mut cache);
         let stats = cache.take_stats();

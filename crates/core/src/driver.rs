@@ -12,7 +12,7 @@ use crate::session::Session;
 use crate::stdlib::STDLIB_SOURCE;
 use crate::suppress::SuppressionSet;
 use lclint_analysis::cache::{options_digest, CacheStats};
-use lclint_analysis::{check_program, effective_jobs, infer_annotations, DiagKind, Diagnostic};
+use lclint_analysis::{effective_jobs, infer_annotations, DiagKind, Diagnostic};
 use lclint_sema::Program;
 use lclint_syntax::ast::ArenaStats;
 use lclint_syntax::fx::FxHashSet;
@@ -506,14 +506,13 @@ impl Linter {
     }
 
     /// Like [`Linter::check_files`], but routes checking through an
-    /// incremental session when one is given: the run is then a one-shot
-    /// [`Session`] over that session's cache, so previously cached
-    /// functions whose fingerprints still match are not re-checked, a
-    /// directory-backed cache is saved afterwards, and
-    /// [`CheckResult::cache_stats`] reports hits/misses/invalidations.
-    /// Without one, every function is checked with no dependency recording
-    /// or fingerprinting. Output is byte-identical either way, for any
-    /// `jobs` value.
+    /// incremental session when one is given. Either way the run is a
+    /// one-shot [`Session`]: with a cache, functions whose fingerprints
+    /// still match are not re-checked, a directory-backed cache is saved
+    /// afterwards, and [`CheckResult::cache_stats`] reports
+    /// hits/misses/invalidations; without one, every function is checked
+    /// with no dependency recording or fingerprinting. Output is
+    /// byte-identical either way, for any `jobs` value.
     ///
     /// # Errors
     ///
@@ -524,17 +523,7 @@ impl Linter {
         roots: &[String],
         incremental: Option<&mut IncrementalSession>,
     ) -> Result<CheckResult> {
-        if let Some(inc) = incremental {
-            return Session::once(self, files, roots, inc);
-        }
-        let mut built = self.build_program(files, roots, self.flags.analysis.jobs)?;
-        let check_start = std::time::Instant::now();
-        let diags = check_program(&built.program, &self.flags.analysis);
-        let check_ms = check_start.elapsed().as_secs_f64() * 1000.0;
-        let sm = std::mem::take(&mut built.sm);
-        let result = self.finish(&built, sm, diags, None, check_ms);
-        built.release();
-        Ok(result)
+        Session::once(self, files, roots, incremental)
     }
 
     /// The one post-check tail of every check run, batch or session.

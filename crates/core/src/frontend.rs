@@ -23,15 +23,14 @@
 //!   typedef set only ever grows, so every lookup in that parse got the
 //!   answer the serial parse would have got, and the units are identical.
 
-use lclint_analysis::{DiagKind, Diagnostic};
+use lclint_analysis::{fan_out, DiagKind, Diagnostic};
 use lclint_syntax::fx::FxHashSet;
 use lclint_syntax::lexer::ControlComment;
 use lclint_syntax::parser::{on_parse_stack, ParseOutcome, PARSE_STACK};
 use lclint_syntax::pp::{preprocess, BorrowedProvider};
 use lclint_syntax::span::{FileId, SourceMap};
 use lclint_syntax::{Parser, Symbol, SyntaxError, TranslationUnit};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Condvar, Mutex, MutexGuard};
+use std::sync::{Condvar, Mutex, MutexGuard};
 
 /// Every root's contribution, in root order.
 #[derive(Default)]
@@ -71,57 +70,21 @@ pub(crate) fn parse_roots(
 ) -> Roots {
     let front = FrontEnd { provider, inherited };
     let claims = Claims {
-        state: Mutex::new(ClaimState { next: 0, sm: std::mem::take(sm), abandoned: false }),
+        state: Mutex::new(ClaimState { next: 0, sm: std::mem::take(sm), abandoned: None }),
         turn: Condvar::new(),
     };
-    let next = AtomicUsize::new(0);
     let mut commit = Commit {
         out: Roots::default(),
         declared: FxHashSet::default(),
         inherited_len: typedefs.len(),
     };
-    std::thread::scope(|s| {
-        let (tx, rx) = mpsc::channel::<(usize, RootParse)>();
-        let handles: Vec<_> = (0..jobs)
-            .map(|_| {
-                let (front, claims, next, tx) = (&front, &claims, &next, tx.clone());
-                std::thread::Builder::new()
-                    .name("lclint-frontend".to_owned())
-                    .stack_size(PARSE_STACK)
-                    .spawn_scoped(s, move || {
-                        let _guard = AbandonOnPanic(claims);
-                        loop {
-                            let k = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(root) = roots.get(k) else { break };
-                            // Root 0 has no earlier typedefs to miss.
-                            let claim = |local| claims.claim(k, local);
-                            // A closed channel means the committing thread
-                            // is unwinding: stop parsing.
-                            if tx.send((k, front.parse(root, &[], claim, k > 0))).is_err() {
-                                break;
-                            }
-                        }
-                    })
-                    .expect("spawn front-end worker")
-            })
-            .collect();
-        // The loop ends once every worker has dropped its sender: all roots
-        // sent, or a worker panicked and the join below resumes its unwind.
-        drop(tx);
-        let mut arrived: Vec<Option<RootParse>> = (0..roots.len()).map(|_| None).collect();
-        let mut committed = 0;
-        for (k, parsed) in rx {
-            arrived[k] = Some(parsed);
-            while let Some(parsed) = arrived.get_mut(committed).and_then(Option::take) {
-                let unit = commit.root(&roots[committed], parsed, &front, typedefs);
-                on_unit(unit);
-                committed += 1;
-            }
-        }
-        for h in handles {
-            h.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload));
-        }
-        assert_eq!(committed, roots.len(), "every root parsed");
+    let work = |k: usize| {
+        let _guard = AbandonOnPanic(&claims, k);
+        // Root 0 has no earlier typedefs to miss.
+        front.parse(&roots[k], &[], |local| claims.claim(k, local), k > 0)
+    };
+    fan_out(jobs, "lclint-frontend", PARSE_STACK, roots.len(), work, |k, parsed| {
+        on_unit(commit.root(&roots[k], parsed, &front, typedefs));
     });
     *sm = claims.state.into_inner().unwrap_or_else(|e| e.into_inner()).sm;
     commit.out
@@ -245,8 +208,9 @@ fn parse_error(e: SyntaxError) -> Diagnostic {
 struct ClaimState {
     next: usize,
     sm: SourceMap,
-    /// A worker panicked, so some root will never claim.
-    abandoned: bool,
+    /// The lowest root whose worker panicked before claiming: no later
+    /// root can claim.
+    abandoned: Option<usize>,
 }
 
 struct Claims {
@@ -262,11 +226,13 @@ impl Claims {
     }
 
     /// Appends root `k`'s local map once roots `0..k` have claimed, and
-    /// returns the base of its ids.
+    /// returns the base of its ids. Panics, rather than waiting forever,
+    /// when an earlier root was abandoned: its index is lower, so the
+    /// fan-out resumes that root's panic, not this one.
     fn claim(&self, k: usize, local: SourceMap) -> u32 {
         let mut st = self.lock();
         while st.next != k {
-            assert!(!st.abandoned, "another front-end worker panicked");
+            assert!(st.abandoned.is_none_or(|a| a > k), "another front-end worker panicked");
             st = self.turn.wait(st).unwrap_or_else(|e| e.into_inner());
         }
         let base = st.sm.append(local);
@@ -276,14 +242,17 @@ impl Claims {
     }
 }
 
-/// Wakes the other workers when this one unwinds, so none of them waits
-/// forever for a root this worker will never claim.
-struct AbandonOnPanic<'a>(&'a Claims);
+/// Wakes the other workers when root `.1`'s worker unwinds, so none of
+/// them waits forever for a root that will never claim.
+struct AbandonOnPanic<'a>(&'a Claims, usize);
 
 impl Drop for AbandonOnPanic<'_> {
     fn drop(&mut self) {
         if std::thread::panicking() {
-            self.0.lock().abandoned = true;
+            let mut st = self.0.lock();
+            if self.1 >= st.next {
+                st.abandoned = Some(st.abandoned.map_or(self.1, |a| a.min(self.1)));
+            }
             self.0.turn.notify_all();
         }
     }

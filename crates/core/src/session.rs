@@ -23,7 +23,7 @@
 
 use crate::driver::{BuiltProgram, CheckResult, Linter};
 use crate::incremental::IncrementalSession;
-use lclint_analysis::{AnalysisOptions, Diagnostic};
+use lclint_analysis::{check_definitions, AnalysisOptions, Diagnostic};
 use lclint_syntax::ast::Item;
 use lclint_syntax::fx::FxHashSet;
 use lclint_syntax::pp::{preprocess, BorrowedProvider};
@@ -323,7 +323,7 @@ impl Session {
     fn rebuild(&mut self, jobs: Option<usize>) -> Result<()> {
         self.rebuilds += 1;
         self.state =
-            Some(State::cold(&self.linter, &mut self.inc, &self.files, &self.roots, jobs)?);
+            Some(State::cold(&self.linter, Some(&mut self.inc), &self.files, &self.roots, jobs)?);
         Ok(())
     }
 
@@ -548,21 +548,22 @@ impl Session {
         self.linter.finish(&st.built, st.built.sm.clone(), diags, Some(stats), st.check_ms)
     }
 
-    /// A cached batch run: a one-shot session over the caller's cache.
-    /// It builds and checks cold exactly as a session's first check does,
-    /// then hands the build to the shared tail instead of keeping it warm,
-    /// so neither the file set nor the source map is copied.
+    /// A batch run: a one-shot session over the caller's cache, or over
+    /// none. It builds and checks cold exactly as a session's first check
+    /// does, then hands the build to the shared tail instead of keeping it
+    /// warm, so neither the file set nor the source map is copied.
     pub(crate) fn once(
         linter: &Linter,
         files: &[(String, String)],
         roots: &[String],
-        inc: &mut IncrementalSession,
+        mut inc: Option<&mut IncrementalSession>,
     ) -> Result<CheckResult> {
         let State { mut built, def_diags, check_ms, .. } =
-            State::cold(linter, inc, files, roots, None)?;
+            State::cold(linter, inc.as_deref_mut(), files, roots, None)?;
         let sm = std::mem::take(&mut built.sm);
         let diags = def_diags.into_iter().flatten().collect();
-        let result = linter.finish(&built, sm, diags, Some(inc.cache.take_stats()), check_ms);
+        let stats = inc.map(|inc| inc.cache.take_stats());
+        let result = linter.finish(&built, sm, diags, stats, check_ms);
         built.release();
         Ok(result)
     }
@@ -570,10 +571,11 @@ impl Session {
 
 impl State {
     /// A cold build of `roots`, every definition checked through `inc`'s
-    /// cache.
+    /// cache, or by the plain check (no dependency recording, no
+    /// fingerprints) when there is none.
     fn cold(
         linter: &Linter,
-        inc: &mut IncrementalSession,
+        inc: Option<&mut IncrementalSession>,
         files: &[(String, String)],
         roots: &[String],
         jobs: Option<usize>,
@@ -582,10 +584,17 @@ impl State {
         let built = linter.build_program(files, roots, opts.jobs)?;
         let check_start = std::time::Instant::now();
         let defs = &built.program.defs;
-        let indices: Vec<usize> = (0..defs.len()).collect();
         let mut slots: Vec<Option<Vec<Diagnostic>>> = vec![None; defs.len()];
-        let unstable_idx =
-            inc.check(&built.program, &opts, linter.library_digest(), &indices, &mut slots);
+        let unstable_idx = match inc {
+            Some(inc) => {
+                let indices: Vec<usize> = (0..defs.len()).collect();
+                inc.check(&built.program, &opts, linter.library_digest(), &indices, &mut slots)
+            }
+            None => {
+                check_definitions(&built.program, &opts, |i, d| slots[i] = Some(d));
+                Vec::new()
+            }
+        };
         let check_ms = check_start.elapsed().as_secs_f64() * 1000.0;
         let unstable = unstable_idx.iter().map(|&i| defs[i].sig.name).collect();
         let def_diags = slots.into_iter().map(|s| s.unwrap_or_default()).collect();
