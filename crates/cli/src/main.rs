@@ -133,14 +133,13 @@ fn render_infer_json(out: &lclint_core::InferOutcome) -> String {
 /// Renders the `--json` report: an array of the daemon's diagnostic
 /// objects, each with its `cwe` appended.
 fn diagnostics_json(diags: &[lclint_core::RenderedDiagnostic]) -> String {
-    json::array(diags.iter().map(|d| {
-        let w = d.json();
+    json::objects(diags, |w, d| {
+        let w = d.write_json(w);
         match d.cwe {
             Some(id) => w.num("cwe", id as usize),
             None => w.raw("cwe", "null"),
         }
-        .done()
-    }))
+    })
 }
 
 fn main() -> ExitCode {

@@ -528,26 +528,30 @@ impl Linter {
 
     /// The one post-check tail of every check run, batch or session.
     /// `diags` are the per-definition diagnostics of checking `built`, in
-    /// definition order. The build's syntax diagnostics are merged in, the
-    /// flag-enabled classes kept, the rest sorted by location, whatever a
-    /// stylized suppression comment covers dropped, and the survivors
-    /// rendered. `sm` is `built.sm`, moved out by a caller that is done
+    /// definition order, borrowed from wherever the caller keeps them. The
+    /// build's syntax diagnostics are merged in, the flag-enabled classes
+    /// kept, the rest sorted by location, whatever a stylized suppression
+    /// comment covers dropped, and the survivors rendered: only those are
+    /// ever copied. `sm` is `built.sm`, moved out by a caller that is done
     /// with the build or cloned by a session that keeps it warm.
     ///
     /// The cache sits *below* this tail: entries hold the full
     /// per-function diagnostics, so toggling message classes or
     /// suppression comments never invalidates anything.
-    pub(crate) fn finish(
+    pub(crate) fn finish<'d>(
         &self,
-        built: &BuiltProgram,
+        built: &'d BuiltProgram,
         sm: SourceMap,
-        mut diags: Vec<Diagnostic>,
+        diags: impl IntoIterator<Item = &'d Diagnostic>,
         cache_stats: Option<CacheStats>,
         check_ms: f64,
     ) -> CheckResult {
-        diags.extend(built.pre_root_diags.iter().cloned());
-        diags.extend(built.root_syntax_diags.iter().flatten().cloned());
-        diags.retain(|d| self.flags.enabled(d.kind));
+        let mut diags: Vec<&Diagnostic> = diags
+            .into_iter()
+            .chain(&built.pre_root_diags)
+            .chain(built.root_syntax_diags.iter().flatten())
+            .filter(|d| self.flags.enabled(d.kind))
+            .collect();
         diags.sort_by_key(|d| (d.span.file, d.span.start));
         let (diags, suppressed) = if self.flags.suppression_comments {
             let controls: Vec<ControlComment> =

@@ -40,7 +40,7 @@ pub use lclint_analysis::cache::CacheStats;
 pub use lclint_analysis::{
     CasStats, CasStore, LayeredStore, RemoteClient, RemoteConfig, RemoteStats, StoreConfig,
 };
-pub use render::{render_all, RenderedDiagnostic, RenderedNote};
+pub use render::{render_all, RenderedDiagnostic, RenderedNote, RenderedText};
 pub use session::{Session, SessionStats};
 pub use stdlib::STDLIB_SOURCE;
 pub use suppress::SuppressionSet;

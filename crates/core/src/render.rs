@@ -6,7 +6,7 @@
 //! ```
 
 use lclint_analysis::Diagnostic;
-use lclint_syntax::json::{self, Writer};
+use lclint_syntax::json::Writer;
 use lclint_syntax::span::SourceMap;
 use std::fmt;
 
@@ -66,19 +66,12 @@ impl RenderedDiagnostic {
         }
     }
 
-    /// The diagnostic as a JSON object with the members `file`, `line`,
-    /// `col`, `kind`, `message`, `function` and `notes`, in that order. This
-    /// is the daemon's wire shape; the writer is left open so a caller can
-    /// append members (`rlclint --json` appends `cwe`).
-    pub fn json(&self) -> Writer {
-        let notes = json::array(self.notes.iter().map(|n| {
-            Writer::obj()
-                .str("file", &n.file)
-                .num("line", n.line as usize)
-                .str("message", &n.message)
-                .done()
-        }));
-        let w = Writer::obj()
+    /// Writes the diagnostic's members into the open object `w`: `file`,
+    /// `line`, `col`, `kind`, `message`, `function` and `notes`, in that
+    /// order. This is the daemon's wire shape; the writer is left open so a
+    /// caller can append members (`rlclint --json` appends `cwe`).
+    pub fn write_json(&self, w: Writer) -> Writer {
+        let w = w
             .str("file", &self.file)
             .num("line", self.line as usize)
             .num("col", self.col as usize)
@@ -88,7 +81,15 @@ impl RenderedDiagnostic {
             Some(f) => w.str("function", f),
             None => w.raw("function", "null"),
         };
-        w.raw("notes", &notes)
+        w.objects("notes", &self.notes, |w, n| {
+            w.str("file", &n.file).num("line", n.line as usize).str("message", &n.message)
+        })
+    }
+
+    /// The diagnostic as a JSON object of its own (see
+    /// [`RenderedDiagnostic::write_json`]).
+    pub fn json(&self) -> Writer {
+        self.write_json(Writer::obj())
     }
 }
 
@@ -105,13 +106,21 @@ impl fmt::Display for RenderedDiagnostic {
     }
 }
 
+/// A batch of diagnostics as LCLint prints them, formatted piece by piece
+/// wherever it is displayed: into one `String` by [`render_all`], or
+/// escaped straight into a daemon response.
+#[derive(Debug, Clone, Copy)]
+pub struct RenderedText<'a>(pub &'a [RenderedDiagnostic]);
+
+impl fmt::Display for RenderedText<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.0.iter().try_for_each(|d| fmt::Display::fmt(d, f))
+    }
+}
+
 /// Renders a batch of diagnostics as LCLint would print them.
 pub fn render_all(diags: &[RenderedDiagnostic]) -> String {
-    let mut out = String::new();
-    for d in diags {
-        out.push_str(&d.to_string());
-    }
-    out
+    RenderedText(diags).to_string()
 }
 
 #[cfg(test)]

@@ -543,7 +543,7 @@ impl Session {
     /// driver's own tail ([`Linter::finish`]).
     fn assemble(&mut self) -> CheckResult {
         let st = self.state.as_ref().expect("assemble requires state");
-        let diags = st.def_diags.iter().flatten().cloned().collect();
+        let diags = st.def_diags.iter().flatten();
         let stats = self.inc.cache.take_stats();
         self.linter.finish(&st.built, st.built.sm.clone(), diags, Some(stats), st.check_ms)
     }
@@ -561,9 +561,8 @@ impl Session {
         let State { mut built, def_diags, check_ms, .. } =
             State::cold(linter, inc.as_deref_mut(), files, roots, None)?;
         let sm = std::mem::take(&mut built.sm);
-        let diags = def_diags.into_iter().flatten().collect();
         let stats = inc.map(|inc| inc.cache.take_stats());
-        let result = linter.finish(&built, sm, diags, stats, check_ms);
+        let result = linter.finish(&built, sm, def_diags.iter().flatten(), stats, check_ms);
         built.release();
         Ok(result)
     }

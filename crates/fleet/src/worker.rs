@@ -231,28 +231,26 @@ impl Worker {
         }
         let mut runner = self.runner.lock().unwrap_or_else(|e| e.into_inner());
         let out = runner.run(name, text, max_steps);
-        result_response(id, &render_task(&out))
+        result_response(id, |w| write_task(w, &out))
     }
 
     fn handle_stats(&self, id: Option<f64>) -> String {
         let runner = self.runner.lock().unwrap_or_else(|e| e.into_inner());
         let totals = runner.cas_totals();
-        let body = Writer::obj()
-            .num("cas_hits", totals.hits as usize)
-            .num("cas_misses", totals.misses as usize)
-            .num("cas_puts", totals.puts as usize)
-            .num("cas_races", totals.races as usize)
-            .num("cas_corrupt", totals.corrupt as usize)
-            .num("cas_evicted", totals.evicted as usize)
-            .done();
-        result_response(id, &body)
+        result_response(id, |w| {
+            w.num("cas_hits", totals.hits as usize)
+                .num("cas_misses", totals.misses as usize)
+                .num("cas_puts", totals.puts as usize)
+                .num("cas_races", totals.races as usize)
+                .num("cas_corrupt", totals.corrupt as usize)
+                .num("cas_evicted", totals.evicted as usize)
+        })
     }
 }
 
-/// Renders a task response body (`ms` last, matching the daemon).
-fn render_task(out: &TaskOutput) -> String {
-    Writer::obj()
-        .str_arr("kinds", &out.kinds)
+/// Writes a task response body's members (`ms` last, matching the daemon).
+fn write_task(w: Writer, out: &TaskOutput) -> Writer {
+    w.str_arr("kinds", &out.kinds)
         .bool("internal", out.internal)
         .bool("budget", out.budget)
         .num("cas_hits", out.cas.hits as usize)
@@ -267,7 +265,6 @@ fn render_task(out: &TaskOutput) -> String {
         .num("remote_trips", out.remote.trips as usize)
         .num("remote_skipped", out.remote.skipped as usize)
         .ms("ms", out.ms)
-        .done()
 }
 
 impl Handler for Worker {
@@ -285,7 +282,7 @@ impl Handler for Worker {
             "stats" => self.handle_stats(id),
             "shutdown" => {
                 self.shutdown.store(true, Ordering::SeqCst);
-                result_response(id, &Writer::obj().bool("ok", true).done())
+                result_response(id, |w| w.bool("ok", true))
             }
             other => error_response(id, &format!("unknown method `{other}`")),
         }

@@ -38,7 +38,7 @@ pub mod cas;
 pub use lclint_syntax::json;
 
 use json::{Json, Writer};
-use lclint_core::{CheckResult, Session};
+use lclint_core::{CheckResult, RenderedText, Session};
 use std::collections::BTreeMap;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::TcpListener;
@@ -128,7 +128,7 @@ impl Daemon {
             "stats" => self.handle_stats(id),
             "shutdown" => {
                 self.shutdown.store(true, Ordering::SeqCst);
-                result_response(id, &Writer::obj().bool("ok", true).done())
+                result_response(id, |w| w.bool("ok", true))
             }
             other => error_response(id, &format!("unknown method `{other}`")),
         }
@@ -160,7 +160,7 @@ impl Daemon {
             totals.cache_misses += cs.misses as u64;
         }
         let ms = started.elapsed().as_secs_f64() * 1000.0;
-        result_response(id, &render_check(&result, ms))
+        result_response(id, |w| write_check(w, &result, ms))
     }
 
     fn handle_stats(&self, id: Option<f64>) -> String {
@@ -172,62 +172,75 @@ impl Daemon {
         } else {
             0.0
         };
-        let cwe =
-            totals.cwe_counts.iter().fold(Writer::obj(), |w, (id, n)| w.num(&id.to_string(), *n));
-        let body = Writer::obj()
-            .num("requests", totals.requests as usize)
-            .num("rebuilds", s.rebuilds)
-            .num("fast_patches", s.fast_patches)
-            .num("no_ops", s.no_ops)
-            .num("cache_entries", s.cache_entries)
-            .num("cache_hits", totals.cache_hits as usize)
-            .num("cache_misses", totals.cache_misses as usize)
-            .ms("cache_hit_rate", hit_rate)
-            .num("defs", s.defs)
-            .num("symbols", s.symbols)
-            .num("interned_bytes", s.interned_bytes)
-            .num("arena_bytes", s.arena_bytes)
-            .raw("cwe_counts", &cwe.done())
-            .done();
-        result_response(id, &body)
+        result_response(id, |w| {
+            w.num("requests", totals.requests as usize)
+                .num("rebuilds", s.rebuilds)
+                .num("fast_patches", s.fast_patches)
+                .num("no_ops", s.no_ops)
+                .num("cache_entries", s.cache_entries)
+                .num("cache_hits", totals.cache_hits as usize)
+                .num("cache_misses", totals.cache_misses as usize)
+                .ms("cache_hit_rate", hit_rate)
+                .num("defs", s.defs)
+                .num("symbols", s.symbols)
+                .num("interned_bytes", s.interned_bytes)
+                .num("arena_bytes", s.arena_bytes)
+                .object("cwe_counts", |w| {
+                    totals.cwe_counts.iter().fold(w, |w, (id, n)| w.num(&id.to_string(), *n))
+                })
+        })
     }
 }
 
-/// Renders a check result as the daemon's `result` object. `ms` is the
-/// request's wall-clock service time (lock wait included).
-fn render_check(r: &CheckResult, ms: f64) -> String {
-    let diags = json::array(r.diagnostics.iter().map(|d| d.json().done()));
-    Writer::obj()
+/// Writes a check result's members into the daemon's `result` object,
+/// `rendered` escaped straight from the diagnostics. `ms` is the request's
+/// wall-clock service time (lock wait included).
+fn write_check(w: Writer, r: &CheckResult, ms: f64) -> Writer {
+    w.reserve(response_len_hint(r))
         .bool("clean", r.is_clean())
-        .raw("diagnostics", &diags)
+        .objects("diagnostics", &r.diagnostics, |w, d| d.write_json(w))
         .num("suppressed", r.suppressed)
         .str_arr("sema_errors", &r.sema_errors)
-        .str("rendered", &r.render())
+        .display("rendered", RenderedText(&r.diagnostics))
         .ms("ms", ms)
-        .done()
 }
 
-/// Wraps a rendered `result` body in a protocol response line (shared by
-/// every [`Handler`] implementation so response shapes stay uniform).
-pub fn result_response(id: Option<f64>, body: &str) -> String {
-    let mut w = Writer::obj();
-    w = match id {
+/// About how long a check result's members are once written: each
+/// diagnostic's and note's file and message appear twice (in its object
+/// and in `rendered`), plus the syntax, numbers, kind and function around
+/// them. Sizing the buffer from this spares the copies of growing it a
+/// doubling at a time.
+fn response_len_hint(r: &CheckResult) -> usize {
+    let text = |file: &str, message: &str, around: usize| 2 * (file.len() + message.len()) + around;
+    let diags = r.diagnostics.iter().map(|d| {
+        let notes = d.notes.iter().map(|n| text(&n.file, &n.message, 64));
+        text(&d.file, &d.message, 160) + notes.sum::<usize>()
+    });
+    diags.sum::<usize>() + r.sema_errors.iter().map(|e| e.len() + 3).sum::<usize>() + 128
+}
+
+/// A protocol response line: the `id`, then `member` (`result` or
+/// `error`) holding the object whose members `f` writes, all into one
+/// buffer. The daemon and the fleet worker both answer through here, so
+/// their response shapes stay uniform.
+fn response(id: Option<f64>, member: &str, f: impl FnOnce(Writer) -> Writer) -> String {
+    let w = Writer::obj();
+    let w = match id {
         Some(id) if id.fract() == 0.0 && id >= 0.0 => w.num("id", id as usize),
         Some(id) => w.ms("id", id),
         None => w.raw("id", "null"),
     };
-    w.raw("result", body).done()
+    w.object(member, f).done()
 }
 
-/// Wraps an error message in a protocol `error` response line.
+/// A `result` response line whose body's members `f` writes.
+pub fn result_response(id: Option<f64>, f: impl FnOnce(Writer) -> Writer) -> String {
+    response(id, "result", f)
+}
+
+/// An `error` response line carrying `message`.
 pub fn error_response(id: Option<f64>, message: &str) -> String {
-    let mut w = Writer::obj();
-    w = match id {
-        Some(id) if id.fract() == 0.0 && id >= 0.0 => w.num("id", id as usize),
-        Some(id) => w.ms("id", id),
-        None => w.raw("id", "null"),
-    };
-    w.raw("error", &Writer::obj().str("message", message).done()).done()
+    response(id, "error", |w| w.str("message", message))
 }
 
 /// Serves one connection: reads request lines from `reader` until EOF or

@@ -8,7 +8,7 @@
 //! kept as `f64`: the formats carry small integers, timings and ratios.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -172,16 +172,30 @@ impl Parser<'_> {
                         Some(b'r') => out.push('\r'),
                         Some(b't') => out.push('\t'),
                         Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let hex = std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?;
-                            let cp = u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
-                            // Surrogate pairs are not needed by this protocol;
-                            // lone surrogates degrade to the replacement char.
-                            out.push(char::from_u32(cp).unwrap_or('\u{fffd}'));
+                            let cp = self.hex4(self.pos + 1)?;
                             self.pos += 4;
+                            // A high surrogate followed by an escaped low one
+                            // is one non-BMP character (`json.dumps` writes
+                            // them so by default); a lone surrogate degrades
+                            // to the replacement character.
+                            let low = match cp {
+                                0xd800..=0xdbff
+                                    if self.bytes[self.pos + 1..].starts_with(b"\\u") =>
+                                {
+                                    self.hex4(self.pos + 3)
+                                        .ok()
+                                        .filter(|c| (0xdc00..=0xdfff).contains(c))
+                                }
+                                _ => None,
+                            };
+                            let c = match low {
+                                Some(low) => {
+                                    self.pos += 6;
+                                    0x10000 + ((cp - 0xd800) << 10) + (low - 0xdc00)
+                                }
+                                None => cp,
+                            };
+                            out.push(char::from_u32(c).unwrap_or('\u{fffd}'));
                         }
                         _ => return Err("bad escape".to_owned()),
                     }
@@ -203,6 +217,13 @@ impl Parser<'_> {
                 }
             }
         }
+    }
+
+    /// The four hex digits of a `\u` escape starting at byte `at`.
+    fn hex4(&self, at: usize) -> Result<u32, String> {
+        let hex = self.bytes.get(at..at + 4).ok_or("truncated \\u escape")?;
+        let hex = std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?;
+        u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape".to_owned())
     }
 
     fn array(&mut self) -> Result<Json, String> {
@@ -259,7 +280,9 @@ impl Parser<'_> {
 
 /// An insertion-ordered JSON object writer: responses always emit keys in
 /// the order the handler added them, so byte-level comparisons between
-/// runs are meaningful.
+/// runs are meaningful. Nested objects and arrays of objects are written
+/// into the same buffer ([`Writer::object`], [`Writer::objects`]), so a
+/// whole response is one allocation.
 #[derive(Debug, Default)]
 pub struct Writer {
     buf: String,
@@ -269,9 +292,13 @@ pub struct Writer {
 impl Writer {
     /// Starts an empty object.
     pub fn obj() -> Self {
-        let mut w = Writer::default();
-        w.buf.push('{');
-        w
+        Writer::open(String::new())
+    }
+
+    /// Starts an object at the end of `buf`.
+    fn open(mut buf: String) -> Self {
+        buf.push('{');
+        Writer { buf, items: 0 }
     }
 
     fn key(&mut self, k: &str) {
@@ -283,10 +310,26 @@ impl Writer {
         self.buf.push(':');
     }
 
+    /// Reserves room for at least `additional` more bytes.
+    pub fn reserve(mut self, additional: usize) -> Self {
+        self.buf.reserve(additional);
+        self
+    }
+
     /// Adds a string member.
     pub fn str(mut self, k: &str, v: &str) -> Self {
         self.key(k);
         write_escaped(&mut self.buf, v);
+        self
+    }
+
+    /// Adds a string member holding `v`'s `Display` text, escaped as it is
+    /// formatted: the text itself is never built.
+    pub fn display(mut self, k: &str, v: impl fmt::Display) -> Self {
+        self.key(k);
+        self.buf.push('"');
+        let _ = write!(Escaping(&mut self.buf), "{v}");
+        self.buf.push('"');
         self
     }
 
@@ -329,6 +372,27 @@ impl Writer {
         self
     }
 
+    /// Adds a nested object member whose members `f` writes into this
+    /// writer's buffer.
+    pub fn object(mut self, k: &str, f: impl FnOnce(Writer) -> Writer) -> Self {
+        self.key(k);
+        self.buf = f(Writer::open(std::mem::take(&mut self.buf))).done();
+        self
+    }
+
+    /// Adds an array member of one object per item, whose members `f`
+    /// writes into this writer's buffer.
+    pub fn objects<T>(
+        mut self,
+        k: &str,
+        items: impl IntoIterator<Item = T>,
+        f: impl FnMut(Writer, T) -> Writer,
+    ) -> Self {
+        self.key(k);
+        self.buf = objects_into(std::mem::take(&mut self.buf), items, f);
+        self
+    }
+
     /// Adds an array of strings.
     pub fn str_arr(mut self, k: &str, vs: &[String]) -> Self {
         self.key(k);
@@ -363,6 +427,30 @@ pub fn array(items: impl IntoIterator<Item = String>) -> String {
     out
 }
 
+/// A top-level array of one object per item, whose members `f` writes.
+pub fn objects<T>(
+    items: impl IntoIterator<Item = T>,
+    f: impl FnMut(Writer, T) -> Writer,
+) -> String {
+    objects_into(String::new(), items, f)
+}
+
+fn objects_into<T>(
+    mut buf: String,
+    items: impl IntoIterator<Item = T>,
+    mut f: impl FnMut(Writer, T) -> Writer,
+) -> String {
+    buf.push('[');
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            buf.push(',');
+        }
+        buf = f(Writer::open(buf), item).done();
+    }
+    buf.push(']');
+    buf
+}
+
 /// `s` as a JSON string literal (quotes included).
 pub fn quote(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
@@ -373,20 +461,43 @@ pub fn quote(s: &str) -> String {
 /// Appends `s` as a JSON string literal (quotes included).
 pub fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    escape_into(out, s);
+    out.push('"');
+}
+
+/// Appends `s` escaped, without quotes. Runs of bytes that need no escape
+/// are copied whole; only `"`, `\` and bytes below 0x20 are escaped. Each
+/// of those is ASCII, so a run never ends inside a multi-byte character.
+fn escape_into(out: &mut String, s: &str) {
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
             }
-            c => out.push(c),
         }
     }
-    out.push('"');
+    out.push_str(&s[run..]);
+}
+
+/// A `fmt::Write` sink that escapes what is written into a JSON string.
+struct Escaping<'a>(&'a mut String);
+
+impl fmt::Write for Escaping<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        escape_into(self.0, s);
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -437,5 +548,78 @@ mod tests {
             v,
             Json::Arr(vec![parse(r#"{"x":0.25,"inf":null}"#).unwrap(), parse("{}").unwrap()])
         );
+    }
+
+    #[test]
+    fn nested_members_write_into_one_buffer() {
+        let s = Writer::obj()
+            .num("id", 7)
+            .object("result", |w| {
+                w.objects("a", ["b\"c"], |w, n| w.str("n", n))
+                    .object("empty", |w| w)
+                    .objects("none", [(); 0], |w, ()| w)
+                    .display("shown", format_args!("{}\t{}", 1, "\"x\""))
+            })
+            .done();
+        assert_eq!(
+            s,
+            r#"{"id":7,"result":{"a":[{"n":"b\"c"}],"empty":{},"none":[],"shown":"1\t\"x\""}}"#
+        );
+    }
+
+    #[test]
+    fn surrogate_pairs_decode_to_one_char() {
+        let s = |text: &str| parse(text).unwrap().as_str().unwrap().to_owned();
+        assert_eq!(s(r#""ab\ud83d\ude00c""#), "ab\u{1f600}c");
+        assert_eq!(s(r#""\uD83D\uDE00""#), "\u{1f600}");
+        assert_eq!(s(r#""\udbff\udfff""#), "\u{10ffff}");
+        // Lone surrogates still degrade to U+FFFD, one per escape.
+        assert_eq!(s(r#""\ud83d""#), "\u{fffd}");
+        assert_eq!(s(r#""\ud83dx""#), "\u{fffd}x");
+        assert_eq!(s(r#""\ude00\ud83d""#), "\u{fffd}\u{fffd}");
+        assert_eq!(s(r#""\ud83d\u0041""#), "\u{fffd}A");
+        assert_eq!(s(r#""\ud83d\n""#), "\u{fffd}\n");
+        assert_eq!(s(r#""\ud83d\ud83d\ude00""#), "\u{fffd}\u{1f600}");
+        assert!(parse(r#""\ud83d\ude0""#).is_err());
+    }
+
+    /// The reference the run-based escaper must equal byte for byte: one
+    /// char at a time.
+    fn escape_by_char(s: &str) -> String {
+        let mut out = String::from('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    #[test]
+    fn run_escaping_matches_the_char_by_char_escaper() {
+        // Every byte below 0x20, DEL, the two escaped printables, plain
+        // ASCII, and 2-, 3- and 4-byte UTF-8.
+        let mut alphabet: Vec<char> = (0u8..0x20).map(char::from).collect();
+        alphabet.extend(['\u{7f}', '"', '\\', '/', 'a', ' ', '\u{e9}', '\u{20ac}', '\u{1f600}']);
+        let mut rng = crate::rng::SplitMix64::seeded(20);
+        for _ in 0..2000 {
+            let len = rng.below(24) as usize;
+            let text: String = (0..len).map(|_| *rng.pick(&alphabet)).collect();
+            let mut escaped = String::from("x");
+            write_escaped(&mut escaped, &text);
+            assert_eq!(&escaped[1..], escape_by_char(&text), "{text:?}");
+            assert_eq!(parse(&escaped[1..]).unwrap().as_str(), Some(text.as_str()));
+            let shown = Writer::obj().display("k", &text).done();
+            assert_eq!(shown, format!("{{\"k\":{}}}", escape_by_char(&text)));
+        }
     }
 }
