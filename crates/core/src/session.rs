@@ -2,16 +2,28 @@
 //!
 //! A [`Session`] owns the canonical file set, the built [`Program`] (with
 //! its shared AST arenas), the source map, and the incremental check cache.
-//! After the first (cold) build, an edit to one root file takes a *patch
-//! fast path*: the changed root is re-preprocessed over a source-map replay
-//! (so every file keeps its id), re-parsed, and — when the edit provably
-//! changed nothing but function bodies and byte offsets — spliced into the
-//! existing program without re-running semantic analysis on the other
-//! units. Only the changed definitions and their dependents are re-probed
-//! through the cache; everything else reuses its previous per-definition
-//! diagnostics verbatim.
+//! Every request moves one root from the text the warm state reflects to a
+//! new one, and one step picks how:
 //!
-//! The invariant the fast path preserves, and the tests assert, is
+//! * **no-op** — the text is unchanged, so the warm state is served as is;
+//! * **swap** — the root goes back to its canonical text after an overlay.
+//!   The overlay's patch parked what it replaced (the unit, its
+//!   definitions, control comments, source-map entries and registered
+//!   spans), and the swap puts that back with no preprocess, lex or parse;
+//! * **patch** — the root is re-preprocessed over a source-map replay (so
+//!   every file keeps its id) and re-parsed. When every declaration and
+//!   every function header has the same structural hash as before (see
+//!   [`declaration_hash`] and [`function_header_hash`]), only function
+//!   bodies and byte offsets changed, and the new unit is spliced into the
+//!   existing program without re-running semantic analysis;
+//! * **rebuild** — anything else: a full cold build.
+//!
+//! A swap or a patch then re-probes, through the cache, the root's
+//! definitions, every definition elsewhere that resolved a name the root
+//! declares, and every unstable one; everything else reuses its previous
+//! per-definition diagnostics verbatim.
+//!
+//! The invariant the fast paths preserve, and the tests assert, is
 //! **byte-identity**: for any sequence of edits, the session's rendered
 //! output equals a cold batch run over the same final file set. Whenever a
 //! precondition cannot be proven (interface change, parse error, new
@@ -20,17 +32,25 @@
 //!
 //! This is the engine under both `rlclint --watch` and the `rlclintd`
 //! analysis server.
+//!
+//! [`Program`]: lclint_sema::Program
 
 use crate::driver::{BuiltProgram, CheckResult, Linter};
 use crate::incremental::IncrementalSession;
 use lclint_analysis::{check_definitions, AnalysisOptions, Diagnostic};
-use lclint_syntax::ast::Item;
-use lclint_syntax::fx::FxHashSet;
+use lclint_sema::{CheckedFunction, Program};
+use lclint_syntax::ast::{Item, TranslationUnit};
+use lclint_syntax::fx::{FxHashMap, FxHashSet};
 use lclint_syntax::pp::{preprocess, BorrowedProvider};
-use lclint_syntax::span::{FileId, Span};
-use lclint_syntax::{pretty_print_declaration, pretty_print_function, Parser, Result, Symbol};
+use lclint_syntax::span::{SourceFile, Span};
+use lclint_syntax::{
+    declaration_hash, function_header_hash, ControlComment, Parser, Result, Symbol,
+};
 use std::io;
+use std::ops::Range;
 use std::path::PathBuf;
+use std::sync::Arc;
+use std::time::Instant;
 
 /// Everything a warm session holds between checks.
 struct State {
@@ -42,6 +62,23 @@ struct State {
     /// entry (degraded or unanchorable) — always re-checked.
     unstable: FxHashSet<Symbol>,
     check_ms: f64,
+    /// The overlaid root's canonical state, while an overlay is loaded.
+    parked: Option<Parked>,
+}
+
+/// What an overlay patch replaced on canonical state: everything a patch
+/// changes in a build, so a swap can put it back without re-parsing.
+struct Parked {
+    root_idx: usize,
+    unit: TranslationUnit,
+    /// The unit's definitions, `def_counts[unit]..def_counts[unit + 1]`.
+    defs: Vec<CheckedFunction>,
+    controls: Vec<ControlComment>,
+    /// Source-map entries of the root's file plan, in plan order.
+    files: Vec<Arc<SourceFile>>,
+    /// `(name, global span, function span)` as registered for every name
+    /// the root declares.
+    spans: Vec<(Symbol, Option<Span>, Option<Span>)>,
 }
 
 /// Counters describing how a session has been serving checks.
@@ -53,6 +90,8 @@ pub struct SessionStats {
     pub fast_patches: usize,
     /// Edits whose text was unchanged (served from memory).
     pub no_ops: usize,
+    /// Overlays undone by swapping the parked canonical state back.
+    pub swaps: usize,
     /// Cached per-function entries currently held.
     pub cache_entries: usize,
     /// Function definitions in the current program.
@@ -88,12 +127,13 @@ pub struct Session {
     state: Option<State>,
     /// `(name, text)` of a lazily-kept overlay: the warm state reflects
     /// `text` for `name` instead of the canonical entry in `files`. The
-    /// next request that needs canonical state patches back on demand, so
+    /// next request that needs canonical state restores it on demand, so
     /// an overlay storm on one file costs a single patch per request.
     loaded: Option<(String, String)>,
     rebuilds: usize,
     fast_patches: usize,
     no_ops: usize,
+    swaps: usize,
 }
 
 impl Session {
@@ -109,6 +149,7 @@ impl Session {
             rebuilds: 0,
             fast_patches: 0,
             no_ops: 0,
+            swaps: 0,
         }
     }
 
@@ -173,32 +214,7 @@ impl Session {
         text: &str,
         jobs: Option<usize>,
     ) -> Result<CheckResult> {
-        // An overlay loaded for a *different* file must be undone first so
-        // the warm state reflects canonical text everywhere but `name`.
-        if self.loaded.as_ref().is_some_and(|(n, _)| n != name) {
-            self.restore_canonical(jobs)?;
-        }
-        let pos = self.files.iter().position(|(n, _)| n == name);
-        let old_text = pos.map(|i| std::mem::replace(&mut self.files[i].1, text.to_owned()));
-        if pos.is_none() {
-            self.files.push((name.to_owned(), text.to_owned()));
-        }
-        // The text the warm state currently reflects for `name`: a loaded
-        // same-file overlay wins over the canonical text just replaced.
-        let base = match self.loaded.take() {
-            Some((_, overlay)) => Some(overlay),
-            None => old_text,
-        };
-        if self.state.is_some() && base.as_deref() == Some(text) {
-            self.no_ops += 1;
-            return Ok(self.assemble());
-        }
-        if let Some(base) = &base {
-            if self.state.is_some() && self.try_patch(name, base, text, jobs)? {
-                return Ok(self.assemble());
-            }
-        }
-        self.rebuild(jobs)?;
+        self.move_root(name, text, false, jobs)?;
         Ok(self.assemble())
     }
 
@@ -230,68 +246,111 @@ impl Session {
             self.loaded = None;
             return Ok(result);
         }
-        if self.loaded.as_ref().is_some_and(|(n, _)| n != name) {
-            self.restore_canonical(jobs)?;
-        }
-        if self.state.is_none() {
-            self.loaded = None;
-            self.rebuild(jobs)?;
-        }
-        // The text the warm state currently reflects for `name`.
-        let current = match &self.loaded {
-            Some((_, overlay)) => overlay.clone(),
-            None => self.file_text(name).expect("file is registered").to_owned(),
-        };
-        if current == text {
-            self.no_ops += 1;
-            return Ok(self.assemble());
-        }
-        if !self.try_patch(name, &current, text, jobs)? {
-            // Rebuild against the overlay text without disturbing the
-            // canonical entry. A failed rebuild leaves the old state (still
-            // reflecting `current`) in place, which stays consistent with
-            // the `loaded` marker below only because `rebuild` assigns
-            // `self.state` solely on success.
-            let pos = self.files.iter().position(|(n, _)| n == name).expect("file is registered");
-            let saved = std::mem::replace(&mut self.files[pos].1, text.to_owned());
-            let built = self.rebuild(jobs);
-            self.files[pos].1 = saved;
-            built?;
-        }
-        self.loaded = if self.file_text(name) == Some(text) {
-            None
-        } else {
-            Some((name.to_owned(), text.to_owned()))
-        };
+        self.move_root(name, text, true, jobs)?;
         Ok(self.assemble())
     }
 
-    /// Undoes a lazily-loaded overlay, patching the warm state back to the
-    /// canonical text (or rebuilding when the patch gate refuses).
+    /// Undoes a lazily-loaded overlay: moves its file back to the
+    /// canonical text.
     fn restore_canonical(&mut self, jobs: Option<usize>) -> Result<()> {
-        let Some((name, overlay)) = self.loaded.take() else {
+        let Some((name, _)) = &self.loaded else {
             return Ok(());
         };
+        let name = name.clone();
+        let canonical = self.file_text(&name).expect("an overlay is registered").to_owned();
+        self.move_root(&name, &canonical, false, jobs)
+    }
+
+    /// The one step behind every request: moves `name` from the text the
+    /// warm state reflects to `to`, which becomes the canonical text unless
+    /// `overlay` keeps it request-scoped. It picks, in order:
+    ///
+    /// * a rebuild of canonical state when there is no warm state (an
+    ///   overlay then moves on from it);
+    /// * a no-op when the text is unchanged;
+    /// * for a return to unchanged canonical text, a swap with the parked
+    ///   state, or a rebuild when nothing is parked: the patch gate is
+    ///   symmetric, so a patch that refused canonical→overlay would refuse
+    ///   the way back too;
+    /// * a patch, parking what it replaced when it moves canonical state to
+    ///   an overlay;
+    /// * a rebuild when the patch gate refuses.
+    ///
+    /// A parked state is dropped when its root's canonical text changes and
+    /// with every rebuild. A failed rebuild leaves no warm state and no
+    /// overlay, so the next request rebuilds from canonical text.
+    fn move_root(
+        &mut self,
+        name: &str,
+        to: &str,
+        overlay: bool,
+        jobs: Option<usize>,
+    ) -> Result<()> {
+        // Another file's overlay is undone first, so the warm state
+        // reflects canonical text everywhere but `name`.
+        if self.loaded.as_ref().is_some_and(|(n, _)| n != name) {
+            self.restore_canonical(jobs)?;
+        }
+        let loaded = self.loaded.take();
+        let pos = self.files.iter().position(|(n, _)| n == name);
+        let is_canonical = pos.is_some_and(|i| self.files[i].1 == to);
+        let unchanged = match &loaded {
+            Some((_, text)) => text == to,
+            None => is_canonical,
+        };
+        let restoring = loaded.is_some() && is_canonical;
+        let from_canonical = loaded.is_none();
+        if !overlay && !is_canonical {
+            // The canonical text changes: a parked state no longer matches.
+            if let Some(st) = &mut self.state {
+                st.parked = None;
+            }
+            match pos {
+                Some(i) => self.files[i].1 = to.to_owned(),
+                None => self.files.push((name.to_owned(), to.to_owned())),
+            }
+        }
+        let target = (overlay && !is_canonical).then(|| (name.to_owned(), to.to_owned()));
+
         if self.state.is_none() {
-            return Ok(());
+            self.rebuild(jobs)?;
+            if target.is_some() {
+                self.patch_or_rebuild(name, to, true, jobs)?;
+            }
+        } else if unchanged {
+            self.no_ops += 1;
+        } else if restoring {
+            match self.state.as_mut().and_then(|st| st.parked.take()) {
+                Some(parked) => self.swap(parked, jobs),
+                None => self.rebuild(jobs)?,
+            }
+        } else if pos.is_none() {
+            self.rebuild(jobs)?;
+        } else {
+            self.patch_or_rebuild(name, to, overlay && from_canonical, jobs)?;
         }
-        let Some(canonical) = self.file_text(&name).map(str::to_owned) else {
-            self.state = None;
-            return Ok(());
-        };
-        if canonical == overlay {
-            return Ok(());
-        }
-        if self.try_patch(&name, &overlay, &canonical, jobs)? {
-            return Ok(());
-        }
-        if let Err(e) = self.rebuild(jobs) {
-            // The old state reflects the overlay but the marker is gone:
-            // drop it rather than serve stale diagnostics.
-            self.state = None;
-            return Err(e);
-        }
+        self.loaded = target;
         Ok(())
+    }
+
+    /// Patches `name` to `text`, or rebuilds with `text` in place of its
+    /// canonical entry when the gate refuses. `park` keeps what the patch
+    /// replaced for a later swap.
+    fn patch_or_rebuild(
+        &mut self,
+        name: &str,
+        text: &str,
+        park: bool,
+        jobs: Option<usize>,
+    ) -> Result<()> {
+        if self.try_patch(name, text, park, jobs) {
+            return Ok(());
+        }
+        let pos = self.files.iter().position(|(n, _)| n == name).expect("file is registered");
+        let saved = std::mem::replace(&mut self.files[pos].1, text.to_owned());
+        let built = self.rebuild(jobs);
+        self.files[pos].1 = saved;
+        built
     }
 
     /// Serving counters plus substrate footprint (interner, arenas, cache).
@@ -303,6 +362,7 @@ impl Session {
             rebuilds: self.rebuilds,
             fast_patches: self.fast_patches,
             no_ops: self.no_ops,
+            swaps: self.swaps,
             cache_entries: self.inc.len(),
             defs,
             symbols: lclint_syntax::symbol_count(),
@@ -318,69 +378,59 @@ impl Session {
     }
 
     /// Full build: parse everything, resolve the program, check every
-    /// definition through the cache. Always correct; the fast path falls
-    /// back here whenever a precondition fails.
+    /// definition through the cache. Always correct; the fast paths fall
+    /// back here whenever a precondition fails. The old state is dropped
+    /// first, so a failed build leaves none.
     fn rebuild(&mut self, jobs: Option<usize>) -> Result<()> {
         self.rebuilds += 1;
+        self.state = None;
+        self.loaded = None;
         self.state =
             Some(State::cold(&self.linter, Some(&mut self.inc), &self.files, &self.roots, jobs)?);
         Ok(())
     }
 
-    /// The patch fast path for an edit of `name` from `old_text` to
-    /// `new_text`. Returns `Ok(false)` when `name` is not a root or any
-    /// precondition fails (the caller then rebuilds); `Ok(true)` when the
-    /// edit was spliced in and the dirty definitions re-checked.
-    fn try_patch(
-        &mut self,
-        name: &str,
-        old_text: &str,
-        new_text: &str,
-        jobs: Option<usize>,
-    ) -> Result<bool> {
+    /// The patch fast path: moves root `name` to `text`. Returns `false`
+    /// when `name` is not a root or any precondition fails (the caller
+    /// then rebuilds); `true` when the edit was spliced in and the dirty
+    /// definitions re-checked. With `park`, what the patch replaced is
+    /// kept in the state for [`Session::swap`].
+    fn try_patch(&mut self, name: &str, text: &str, park: bool, jobs: Option<usize>) -> bool {
         let Some(root_idx) = self.roots.iter().position(|r| r == name) else {
-            return Ok(false);
+            return false;
         };
-        let parse_start = std::time::Instant::now();
-        let opts = opts(&self.linter, jobs);
-        let lib = self.linter.library_digest();
-        let State { built: bp, def_diags, unstable, check_ms } =
-            self.state.as_mut().expect("try_patch requires warm state");
+        let parse_start = Instant::now();
+        let st = self.state.as_mut().expect("try_patch requires warm state");
+        let bp = &mut st.built;
         // Preconditions on the previous build of this root: it must have
         // parsed cleanly (a partial unit cannot be paired) and contributed
         // no semantic errors (their spans would go stale).
         if !bp.root_syntax_diags[root_idx].is_empty() {
-            return Ok(false);
+            return false;
         }
         let plan = bp.root_file_plans[root_idx].clone();
-        if plan.is_empty() {
-            return Ok(false);
-        }
-        let root_fid = plan[0];
-        if bp.program.errors.iter().any(|e| plan.contains(&e.span.file)) {
-            return Ok(false);
+        if plan.is_empty() || bp.program.errors.iter().any(|e| plan.contains(&e.span.file)) {
+            return false;
         }
 
         // Re-preprocess the root over a replay: every file it registers
         // must line up with the old plan (same names, same order) so all
         // ids — and therefore every other unit's spans — stay valid.
+        let old_files = park.then(|| bp.sm.entries(&plan));
         let mut provider = BorrowedProvider::new(&self.files);
-        // `new_text` wins over the canonical entry: overlay patches check
-        // a text the canonical file set does not hold.
-        provider.insert(&self.roots[root_idx], new_text);
-        bp.sm.begin_replay(plan.clone());
-        let out = match preprocess(&self.roots[root_idx], &provider, &mut bp.sm) {
-            Ok(out) => out,
-            Err(_) => {
-                // The map may hold partially replayed texts; only a full
-                // rebuild (fresh map) is safe now.
-                let _ = bp.sm.end_replay();
-                return Ok(false);
-            }
-        };
+        // `text` wins over the canonical entry: overlay patches check a
+        // text the canonical file set does not hold.
+        provider.insert(name, text);
+        bp.sm.begin_replay(plan);
+        let out = preprocess(name, &provider, &mut bp.sm);
+        // On failure the map may hold partially replayed texts; the caller
+        // rebuilds with a fresh map.
         if !bp.sm.end_replay() {
-            return Ok(false);
+            return false;
         }
+        let Ok(out) = out else {
+            return false;
+        };
 
         // Re-parse with exactly the typedef context the old build used:
         // the borrowed inherited names plus the typedefs of earlier roots
@@ -391,32 +441,29 @@ impl Session {
         }
         let (new_tu, errors) = parser.parse_translation_unit_recovering();
         if !errors.is_empty() {
-            return Ok(false);
+            return false;
         }
 
-        // Pair the old and new items. The gate: every declaration is
-        // unchanged up to spans (span-free pretty-print equality), every
-        // function definition keeps its exact header bytes — so the only
-        // semantic deltas are function bodies, and the only table deltas
-        // are spans.
+        // The gate: items pair up one to one, every declaration keeps its
+        // structural hash and every function definition keeps its header's
+        // — so the only semantic deltas are function bodies, and the only
+        // table deltas are spans.
         let unit_idx = bp.root_start + root_idx;
         let old_tu = &bp.units[unit_idx];
         if old_tu.items.len() != new_tu.items.len() {
-            return Ok(false);
+            return false;
         }
-        // (name, old declarator span, new declarator span) for relocation.
+        let def_range = bp.def_counts[unit_idx]..bp.def_counts[unit_idx + 1];
+        // (name, old span, new span) for relocation.
         let mut reloc: Vec<(Symbol, Span, Span)> = Vec::new();
-        // New definition headers paired with the old definition order.
         let mut new_defs: Vec<&lclint_syntax::ast::FunctionDef> = Vec::new();
         for (old_item, new_item) in old_tu.items.iter().zip(&new_tu.items) {
             match (old_item, new_item) {
                 (Item::Decl(od), Item::Decl(nd)) => {
                     let od = old_tu.arena.decl(*od);
                     let nd = new_tu.arena.decl(*nd);
-                    if pretty_print_declaration(&old_tu.arena, od)
-                        != pretty_print_declaration(&new_tu.arena, nd)
-                    {
-                        return Ok(false);
+                    if declaration_hash(&old_tu.arena, od) != declaration_hash(&new_tu.arena, nd) {
+                        return false;
                     }
                     for (oi, ni) in od.declarators.iter().zip(&nd.declarators) {
                         if let Some(name) = oi.declarator.name {
@@ -425,122 +472,91 @@ impl Session {
                     }
                 }
                 (Item::Function(of), Item::Function(nf)) => {
-                    if of.name() != nf.name() {
-                        return Ok(false);
-                    }
-                    if pretty_print_function(&old_tu.arena, of)
-                        != pretty_print_function(&new_tu.arena, nf)
+                    if function_header_hash(&old_tu.arena, of)
+                        != function_header_hash(&new_tu.arena, nf)
                     {
-                        // Body changed. The header bytes must be identical
-                        // so the resolved signature is provably unchanged.
-                        let old_head = def_head(old_text, of, &old_tu.arena, root_fid);
-                        let new_head = def_head(new_text, nf, &new_tu.arena, root_fid);
-                        match (old_head, new_head) {
-                            (Some(a), Some(b)) if a == b => {}
-                            _ => return Ok(false),
-                        }
+                        return false;
                     }
                     new_defs.push(nf);
                 }
-                _ => return Ok(false),
+                _ => return false,
             }
         }
-        let def_range = bp.def_counts[unit_idx]..bp.def_counts[unit_idx + 1];
         if def_range.len() != new_defs.len() {
-            return Ok(false);
+            return false;
+        }
+        for (i, nf) in def_range.clone().zip(&new_defs) {
+            let sig = &bp.program.defs[i].sig;
+            reloc.push((sig.name, sig.span, nf.span));
         }
 
         // Commit: splice the new unit in. Every definition in the unit gets
         // its old (merged) signature with the new span, the new header AST,
-        // and the new arena; globals and prototypes declared here get their
-        // spans relocated wherever the old span is still the registered one.
-        for (k, nf) in new_defs.iter().enumerate() {
-            let i = def_range.start + k;
-            let old_span = bp.program.defs[i].sig.span;
+        // and the new arena; names declared here get their registered spans
+        // relocated.
+        let exports: FxHashSet<Symbol> = reloc.iter().map(|&(name, ..)| name).collect();
+        let spans = park.then(|| {
+            let p = &bp.program;
+            let span_of =
+                |n| (n, p.globals.get(&n).map(|g| g.span), p.functions.get(&n).map(|f| f.span));
+            exports.iter().map(|&n| span_of(n)).collect()
+        });
+        relocate(&mut bp.program, &reloc);
+        let mut old_defs = Vec::with_capacity(new_defs.len());
+        for (i, nf) in def_range.clone().zip(&new_defs) {
             let mut sig = bp.program.defs[i].sig.clone();
             sig.span = nf.span;
-            if let Some(f) = bp.program.functions.get_mut(&sig.name) {
-                if f.span == old_span {
-                    f.span = nf.span;
-                }
-            }
-            bp.program.defs[i] = lclint_sema::CheckedFunction {
-                sig,
-                ast: (*nf).clone(),
-                arena: std::sync::Arc::clone(&new_tu.arena),
-            };
+            let new = CheckedFunction { sig, ast: (*nf).clone(), arena: Arc::clone(&new_tu.arena) };
+            old_defs.push(std::mem::replace(&mut bp.program.defs[i], new));
         }
-        let mut exports: FxHashSet<Symbol> = FxHashSet::default();
-        for &(name, old_span, new_span) in &reloc {
-            exports.insert(name);
-            if let Some(g) = bp.program.globals.get_mut(&name) {
-                if g.span == old_span {
-                    g.span = new_span;
-                }
-            }
-            if let Some(f) = bp.program.functions.get_mut(&name) {
-                if f.span == old_span {
-                    f.span = new_span;
-                }
-            }
+        let controls = std::mem::replace(&mut bp.root_controls[root_idx], out.controls);
+        let unit = std::mem::replace(&mut bp.units[unit_idx], new_tu);
+        if let (Some(files), Some(spans)) = (old_files, spans) {
+            st.parked = Some(Parked { root_idx, unit, defs: old_defs, controls, files, spans });
         }
-        for i in def_range.clone() {
-            exports.insert(bp.program.defs[i].sig.name);
-        }
-        bp.root_controls[root_idx] = out.controls;
-        bp.units[unit_idx] = new_tu;
-        bp.parse_ms = parse_start.elapsed().as_secs_f64() * 1000.0;
-        bp.sema_ms = 0.0;
-
-        // Dirty set: the patched unit's definitions (their spans moved),
-        // plus every definition elsewhere that resolved a name this file
-        // declares (its cached notes may anchor on the moved spans), plus
-        // everything whose last result was unstable. Clean definitions are
-        // provably bit-identical: their fingerprints are span-free and
-        // none of their anchors moved.
-        let defs_len = bp.program.defs.len();
-        let mut dirty: Vec<usize> = def_range.clone().collect();
-        for i in 0..defs_len {
-            if def_range.contains(&i) {
-                continue;
-            }
-            let name = bp.program.defs[i].sig.name;
-            if unstable.contains(&name) {
-                dirty.push(i);
-                continue;
-            }
-            match self.inc.cache.entry(name) {
-                None => dirty.push(i),
-                Some(e) => {
-                    if e.deps.functions.iter().any(|n| exports.contains(n))
-                        || e.deps.globals.iter().any(|n| exports.contains(n))
-                    {
-                        dirty.push(i);
-                    }
-                }
-            }
-        }
-        dirty.sort_unstable();
-
-        let check_start = std::time::Instant::now();
-        let mut slots: Vec<Option<Vec<Diagnostic>>> = vec![None; defs_len];
-        let unstable_idx = self.inc.check(&bp.program, &opts, lib, &dirty, &mut slots);
-        *check_ms = check_start.elapsed().as_secs_f64() * 1000.0;
-        for &i in &dirty {
-            def_diags[i] = slots[i].take().unwrap_or_default();
-            let name = bp.program.defs[i].sig.name;
-            unstable.remove(&name);
-        }
-        for &i in &unstable_idx {
-            let name = bp.program.defs[i].sig.name;
-            unstable.insert(name);
-        }
+        st.built.parse_ms = parse_start.elapsed().as_secs_f64() * 1000.0;
+        st.built.sema_ms = 0.0;
+        let opts = opts(&self.linter, jobs);
+        st.reprobe(&mut self.inc, &opts, self.linter.library_digest(), def_range, &exports);
         self.fast_patches += 1;
-        Ok(true)
+        true
+    }
+
+    /// Puts a parked canonical state back in place of the overlay that
+    /// replaced it, then re-probes the same dirty set a patch would.
+    fn swap(&mut self, parked: Parked, jobs: Option<usize>) {
+        let start = Instant::now();
+        let st = self.state.as_mut().expect("swap requires warm state");
+        let bp = &mut st.built;
+        let Parked { root_idx, unit, defs, controls, files, spans } = parked;
+        let unit_idx = bp.root_start + root_idx;
+        let def_range = bp.def_counts[unit_idx]..bp.def_counts[unit_idx + 1];
+        bp.units[unit_idx] = unit;
+        for (slot, def) in bp.program.defs[def_range.clone()].iter_mut().zip(defs) {
+            *slot = def;
+        }
+        bp.root_controls[root_idx] = controls;
+        bp.sm.put_entries(&bp.root_file_plans[root_idx], files);
+        let mut exports = FxHashSet::default();
+        for (name, global, function) in spans {
+            exports.insert(name);
+            if let (Some(g), Some(span)) = (bp.program.globals.get_mut(&name), global) {
+                g.span = span;
+            }
+            if let (Some(f), Some(span)) = (bp.program.functions.get_mut(&name), function) {
+                f.span = span;
+            }
+        }
+        bp.parse_ms = start.elapsed().as_secs_f64() * 1000.0;
+        bp.sema_ms = 0.0;
+        let opts = opts(&self.linter, jobs);
+        st.reprobe(&mut self.inc, &opts, self.linter.library_digest(), def_range, &exports);
+        self.swaps += 1;
     }
 
     /// Builds a [`CheckResult`] from the warm state through the batch
-    /// driver's own tail ([`Linter::finish`]).
+    /// driver's own tail ([`Linter::finish`]). The source map's clone
+    /// shares every file's text with the state.
     fn assemble(&mut self) -> CheckResult {
         let st = self.state.as_ref().expect("assemble requires state");
         let diags = st.def_diags.iter().flatten();
@@ -581,7 +597,7 @@ impl State {
     ) -> Result<State> {
         let opts = opts(linter, jobs);
         let built = linter.build_program(files, roots, opts.jobs)?;
-        let check_start = std::time::Instant::now();
+        let check_start = Instant::now();
         let defs = &built.program.defs;
         let mut slots: Vec<Option<Vec<Diagnostic>>> = vec![None; defs.len()];
         let unstable_idx = match inc {
@@ -597,7 +613,76 @@ impl State {
         let check_ms = check_start.elapsed().as_secs_f64() * 1000.0;
         let unstable = unstable_idx.iter().map(|&i| defs[i].sig.name).collect();
         let def_diags = slots.into_iter().map(|s| s.unwrap_or_default()).collect();
-        Ok(State { built, def_diags, unstable, check_ms })
+        Ok(State { built, def_diags, unstable, check_ms, parked: None })
+    }
+
+    /// Re-checks, through the cache, what a swap or patch of the unit that
+    /// holds `def_range` can have changed: its own definitions (their spans
+    /// moved), every definition elsewhere that resolved a name in `exports`
+    /// (its cached notes may anchor on the moved spans), and everything
+    /// whose last result was unstable. Clean definitions are provably
+    /// bit-identical: their fingerprints are span-free and none of their
+    /// anchors moved.
+    fn reprobe(
+        &mut self,
+        inc: &mut IncrementalSession,
+        opts: &AnalysisOptions,
+        lib: u64,
+        def_range: Range<usize>,
+        exports: &FxHashSet<Symbol>,
+    ) {
+        let defs = &self.built.program.defs;
+        let mut dirty: Vec<usize> = def_range.clone().collect();
+        for (i, def) in defs.iter().enumerate() {
+            if def_range.contains(&i) {
+                continue;
+            }
+            let name = def.sig.name;
+            let touched = self.unstable.contains(&name)
+                || inc.cache.entry(name).is_none_or(|e| {
+                    e.deps.functions.iter().chain(&e.deps.globals).any(|n| exports.contains(n))
+                });
+            if touched {
+                dirty.push(i);
+            }
+        }
+        dirty.sort_unstable();
+
+        let check_start = Instant::now();
+        let mut slots: Vec<Option<Vec<Diagnostic>>> = vec![None; defs.len()];
+        let unstable_idx = inc.check(&self.built.program, opts, lib, &dirty, &mut slots);
+        self.check_ms = check_start.elapsed().as_secs_f64() * 1000.0;
+        for &i in &dirty {
+            self.def_diags[i] = slots[i].take().unwrap_or_default();
+            self.unstable.remove(&defs[i].sig.name);
+        }
+        for &i in &unstable_idx {
+            self.unstable.insert(defs[i].sig.name);
+        }
+    }
+}
+
+/// Moves the registered span of every name in `reloc` from its old
+/// position to its new one. The moves are simultaneous: each registered
+/// span is looked up once among its name's `(old, new)` pairs, so a span
+/// moved onto another pair's old position is not moved again.
+fn relocate(program: &mut Program, reloc: &[(Symbol, Span, Span)]) {
+    let mut by_name: FxHashMap<Symbol, Vec<(Span, Span)>> = FxHashMap::default();
+    for &(name, old, new) in reloc {
+        by_name.entry(name).or_default().push((old, new));
+    }
+    for (name, pairs) in &by_name {
+        let moved = |span: &mut Span| {
+            if let Some(&(_, new)) = pairs.iter().find(|(old, _)| old == span) {
+                *span = new;
+            }
+        };
+        if let Some(g) = program.globals.get_mut(name) {
+            moved(&mut g.span);
+        }
+        if let Some(f) = program.functions.get_mut(name) {
+            moved(&mut f.span);
+        }
     }
 }
 
@@ -608,28 +693,6 @@ fn opts(linter: &Linter, jobs: Option<usize>) -> AnalysisOptions {
         opts.jobs = j;
     }
     opts
-}
-
-/// The header bytes of a definition: everything from the start of the item
-/// to the start of its body. `None` when the definition does not live
-/// entirely in the root file (macro-expanded bodies, definitions pulled in
-/// from headers) — those take the slow path.
-#[allow(clippy::needless_lifetimes)]
-fn def_head<'t>(
-    text: &'t str,
-    f: &lclint_syntax::ast::FunctionDef,
-    arena: &lclint_syntax::ast::Ast,
-    root_fid: FileId,
-) -> Option<&'t str> {
-    let body = arena.stmt_span(f.body);
-    if f.span.file != root_fid || body.file != root_fid {
-        return None;
-    }
-    let (start, end) = (f.span.start as usize, body.start as usize);
-    if start > end || end > text.len() {
-        return None;
-    }
-    Some(&text[start..end])
 }
 
 #[cfg(test)]
@@ -807,5 +870,108 @@ mod tests {
         assert_eq!(after.arena_bytes, warm.arena_bytes, "arena bytes must not grow");
         assert_eq!(after.cache_entries, warm.cache_entries, "cache must not grow");
         assert_eq!(after.defs, warm.defs);
+    }
+
+    fn one_file(text: &str) -> (Vec<(String, String)>, Vec<String>) {
+        (vec![("m.c".to_owned(), text.to_owned())], vec!["m.c".to_owned()])
+    }
+
+    #[test]
+    fn header_changed_through_a_macro_rebuilds() {
+        // The header's bytes stay `void take(ARG)`, but its expansion gains
+        // an `only` annotation: the signature changed, so the patch gate
+        // must refuse and the result must equal a cold run (clean).
+        let (files, roots) = one_file("#define ARG char *x\nvoid take(ARG)\n{\n  free(x);\n}\n");
+        let mut s = Session::new(Linter::new(Flags::default()), files.clone(), roots.clone());
+        let before = s.check(None).unwrap();
+        assert!(before.render().contains("free (x)"), "{}", before.render());
+        let edited = files[0].1.replace("#define ARG char", "#define ARG /*@only@*/ char");
+        let warm = s.did_change("m.c", &edited, None).unwrap();
+        let (after, _) = one_file(&edited);
+        assert_eq!(session_render(&warm), batch_render(&after, &roots));
+        assert!(warm.is_clean(), "{}", warm.render());
+        assert_eq!(s.stats().fast_patches, 0);
+        assert_eq!(s.stats().rebuilds, 2);
+    }
+
+    const CHAINED: &str = "extern int other;\nextern int other;\nint counter;\n\
+                           int bump(void) /*@globals counter@*/\n{\n  other = other + 1;\n  \
+                           return counter;\n}\n";
+
+    #[test]
+    fn relocation_does_not_chain_through_a_moved_span() {
+        // Prepending exactly the first line's length moves the first
+        // declarator onto the second's old span; a sequential relocation
+        // then moved it again, so `other` was reported at line 3.
+        let (files, roots) = one_file(CHAINED);
+        let edited = format!("/* abcdefghijk */\n{CHAINED}");
+        assert_eq!("/* abcdefghijk */\n".len(), "extern int other;\n".len());
+        let mut s = Session::new(Linter::new(Flags::default()), files.clone(), roots.clone());
+        s.check(None).unwrap();
+        let warm = s.did_change("m.c", &edited, None).unwrap();
+        let (after, _) = one_file(&edited);
+        let cold = batch_render(&after, &roots);
+        assert!(cold.contains("m.c:2: Undocumented use of global other"), "{cold}");
+        assert_eq!(session_render(&warm), cold);
+        assert_eq!(s.stats().fast_patches, 1);
+    }
+
+    #[test]
+    fn relocation_holds_through_an_overlay_and_a_swap_back() {
+        let (files, roots) = one_file(CHAINED);
+        let edited = format!("/* abcdefghijk */\n{CHAINED}");
+        let mut s = Session::new(Linter::new(Flags::default()), files.clone(), roots.clone());
+        let base = s.check(None).unwrap();
+        let overlay = s.check_overlay("m.c", &edited, None).unwrap();
+        let (after, _) = one_file(&edited);
+        assert_eq!(session_render(&overlay), batch_render(&after, &roots));
+        let back = s.check(None).unwrap();
+        assert_eq!(session_render(&back), session_render(&base));
+        assert_eq!(session_render(&back), batch_render(&files, &roots));
+        let st = s.stats();
+        assert_eq!((st.rebuilds, st.fast_patches, st.swaps), (1, 1, 1), "{st:?}");
+    }
+
+    #[test]
+    fn restore_after_an_overlay_swaps_instead_of_patching() {
+        let (files, roots) = two_file_setup();
+        let mut s = Session::new(Linter::new(Flags::default()), files.clone(), roots.clone());
+        s.check(None).unwrap();
+        // Overlay a.c twice (the second patch moves overlay to overlay and
+        // keeps the parked canonical state), then edit b.c: a.c swaps back.
+        let leaky = files[0].1.replace("  free(q);", "  q = q;");
+        let grown = files[0].1.replace("  free(q);", "  /* grew */\n  q = q;");
+        s.check_overlay("a.c", &leaky, None).unwrap();
+        s.check_overlay("a.c", &grown, None).unwrap();
+        let edited = files[1].1.replace("*p = 'a';", "*p = 'b';");
+        let warm = s.did_change("b.c", &edited, None).unwrap();
+        let mut after = files.clone();
+        after[1].1 = edited;
+        assert_eq!(session_render(&warm), batch_render(&after, &roots));
+        let st = s.stats();
+        assert_eq!((st.rebuilds, st.fast_patches, st.swaps), (1, 3, 1), "{st:?}");
+        assert_eq!(
+            s.built().unwrap().sm.text(s.built().unwrap().root_file_plans[0][0]),
+            files[0].1
+        );
+    }
+
+    #[test]
+    fn an_edit_of_the_overlaid_file_drops_the_parked_state() {
+        let (files, roots) = two_file_setup();
+        let mut s = Session::new(Linter::new(Flags::default()), files.clone(), roots.clone());
+        s.check(None).unwrap();
+        let leaky = files[0].1.replace("  free(q);", "  q = q;");
+        let grown = files[0].1.replace("  free(q);", "  /* grew */\n  free(q);");
+        s.check_overlay("a.c", &leaky, None).unwrap();
+        // The canonical text changes: no swap back to the old one.
+        let warm = s.did_change("a.c", &grown, None).unwrap();
+        let check = s.check(None).unwrap();
+        let mut after = files.clone();
+        after[0].1 = grown;
+        assert_eq!(session_render(&warm), batch_render(&after, &roots));
+        assert_eq!(session_render(&check), batch_render(&after, &roots));
+        let st = s.stats();
+        assert_eq!((st.rebuilds, st.fast_patches, st.swaps), (1, 2, 0), "{st:?}");
     }
 }

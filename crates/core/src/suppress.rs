@@ -38,10 +38,7 @@ impl SuppressionSet {
                     }
                     None => set.unmatched_ends.push(c.span),
                 },
-                ControlKind::SuppressNext => {
-                    let loc = sm.loc(c.span);
-                    set.line_sites.push((c.span.file, loc.line));
-                }
+                ControlKind::SuppressNext => set.line_sites.push((c.span.file, sm.line(c.span))),
             }
         }
         set.unmatched_ignores = open;
@@ -81,13 +78,16 @@ impl SuppressionSet {
                 suppressed += 1;
                 continue;
             }
-            let loc = sm.loc(span);
-            if let Some(i) =
-                remaining_lines.iter().position(|(f, line)| *f == span.file && *line == loc.line)
-            {
-                remaining_lines.swap_remove(i);
-                suppressed += 1;
-                continue;
+            // Lines are resolved only while `/*@i@*/` sites remain to match.
+            if !remaining_lines.is_empty() {
+                let line = sm.line(span);
+                if let Some(i) =
+                    remaining_lines.iter().position(|&(f, l)| f == span.file && l == line)
+                {
+                    remaining_lines.swap_remove(i);
+                    suppressed += 1;
+                    continue;
+                }
             }
             kept.push(d);
         }
@@ -130,6 +130,22 @@ mod tests {
         let (kept, suppressed) = set.filter(vec![inside, outside], &sm, |s| *s);
         assert_eq!(suppressed, 1);
         assert_eq!(kept, vec![outside]);
+    }
+
+    #[test]
+    fn regions_and_line_sites_filter_together() {
+        let src = "/*@ignore@*/\nint a;\n/*@end@*/\n/*@i@*/ int b;\nint c; /*@i@*/\nint d;\n";
+        let (set, sm) = set_for(src);
+        let at = |needle: &str| {
+            let start = src.find(needle).unwrap() as u32;
+            Span::new(FileId(0), start, start + 1)
+        };
+        // One message in the region, two on line 4 (one `/*@i@*/` there),
+        // one on line 5 and one on line 6, which has no site.
+        let spans = vec![at("a;"), at("int b"), at("b;"), at("c;"), at("d;")];
+        let (kept, suppressed) = set.filter(spans, &sm, |s| *s);
+        assert_eq!(suppressed, 3);
+        assert_eq!(kept, vec![at("b;"), at("d;")]);
     }
 
     #[test]

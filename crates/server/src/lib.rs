@@ -177,6 +177,7 @@ impl Daemon {
                 .num("rebuilds", s.rebuilds)
                 .num("fast_patches", s.fast_patches)
                 .num("no_ops", s.no_ops)
+                .num("swaps", s.swaps)
                 .num("cache_entries", s.cache_entries)
                 .num("cache_hits", totals.cache_hits as usize)
                 .num("cache_misses", totals.cache_misses as usize)

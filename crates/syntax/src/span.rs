@@ -7,6 +7,7 @@
 //! while substituted arguments keep their use-site spans.
 
 use std::fmt;
+use std::sync::Arc;
 
 /// Identifies a file registered in a [`SourceMap`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -100,9 +101,11 @@ impl fmt::Display for Loc {
     }
 }
 
-/// One registered source file.
-#[derive(Debug, Clone)]
-struct SourceFile {
+/// One registered source file: its name, text and line table. A
+/// [`SourceMap`] shares its entries, so cloning a map copies pointers, not
+/// texts.
+#[derive(Debug)]
+pub struct SourceFile {
     name: String,
     text: String,
     /// Byte offsets of the start of every line.
@@ -120,11 +123,16 @@ impl SourceFile {
         SourceFile { name, text, line_starts }
     }
 
-    fn line_col(&self, offset: u32) -> (u32, u32) {
-        let line = match self.line_starts.binary_search(&offset) {
+    /// The 0-based line holding byte `offset`.
+    fn line_index(&self, offset: u32) -> usize {
+        match self.line_starts.binary_search(&offset) {
             Ok(i) => i,
             Err(i) => i - 1,
-        };
+        }
+    }
+
+    fn line_col(&self, offset: u32) -> (u32, u32) {
+        let line = self.line_index(offset);
         let col = offset - self.line_starts[line];
         (line as u32 + 1, col + 1)
     }
@@ -145,14 +153,14 @@ impl SourceFile {
 /// ```
 #[derive(Debug, Default, Clone)]
 pub struct SourceMap {
-    files: Vec<SourceFile>,
+    files: Vec<Arc<SourceFile>>,
     /// Active replay plan (see [`SourceMap::begin_replay`]).
     replay: Option<Replay>,
 }
 
 /// State of an in-place re-registration: the next [`SourceMap::add_file`]
 /// calls are expected to re-register exactly the planned files (same names,
-/// same order) and overwrite their texts in place, keeping the ids stable.
+/// same order) and replace their entries, keeping the ids stable.
 #[derive(Debug, Default, Clone)]
 struct Replay {
     plan: Vec<FileId>,
@@ -169,9 +177,11 @@ impl SourceMap {
     /// Registers a file and returns its id.
     ///
     /// Under an active replay (see [`SourceMap::begin_replay`]) the file
-    /// replaces the next planned entry *in place* — same id, new text — as
-    /// long as the registered name matches the planned one. The first
-    /// mismatch marks the replay as diverged and falls back to appending.
+    /// replaces the next planned entry — same id, new text — as long as the
+    /// registered name matches the planned one. The old entry is replaced,
+    /// never mutated, so a clone of the map taken earlier keeps its text.
+    /// The first mismatch marks the replay as diverged and falls back to
+    /// appending.
     pub fn add_file(&mut self, name: impl Into<String>, text: impl Into<String>) -> FileId {
         let name = name.into();
         let text = text.into();
@@ -180,7 +190,7 @@ impl SourceMap {
                 match replay.plan.get(replay.next) {
                     Some(&id) if self.files[id.0 as usize].name == name => {
                         replay.next += 1;
-                        self.files[id.0 as usize] = SourceFile::new(name, text);
+                        self.files[id.0 as usize] = Arc::new(SourceFile::new(name, text));
                         return id;
                     }
                     _ => replay.diverged = true,
@@ -188,14 +198,37 @@ impl SourceMap {
             }
         }
         let id = FileId(self.files.len() as u32);
-        self.files.push(SourceFile::new(name, text));
+        self.files.push(Arc::new(SourceFile::new(name, text)));
         id
+    }
+
+    /// The shared entries of `ids`, in order: what a replay over `ids`
+    /// would replace, kept so [`SourceMap::put_entries`] can put it back.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an id was not produced by this map or is synthetic.
+    pub fn entries(&self, ids: &[FileId]) -> Vec<Arc<SourceFile>> {
+        ids.iter().map(|id| Arc::clone(&self.files[id.0 as usize])).collect()
+    }
+
+    /// Puts entries taken with [`SourceMap::entries`] back under the same
+    /// `ids`, replacing whatever those ids hold now.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the lengths differ or an id is out of range.
+    pub fn put_entries(&mut self, ids: &[FileId], entries: Vec<Arc<SourceFile>>) {
+        assert_eq!(ids.len(), entries.len(), "one entry per id");
+        for (id, entry) in ids.iter().zip(entries) {
+            self.files[id.0 as usize] = entry;
+        }
     }
 
     /// Starts a replay: the next `plan.len()` calls to
     /// [`SourceMap::add_file`] are expected to re-register exactly the
-    /// planned files in order (same names) and will overwrite their texts in
-    /// place, preserving the ids. Used by incremental sessions to re-lex one
+    /// planned files in order (same names) and will replace their entries,
+    /// preserving the ids. Used by incremental sessions to re-lex one
     /// changed root without disturbing the ids of every other file.
     ///
     /// # Panics
@@ -265,6 +298,15 @@ impl SourceMap {
         let f = &self.files[span.file.0 as usize];
         let (line, col) = f.line_col(span.start);
         Loc { file: f.name.clone(), line, col }
+    }
+
+    /// The 1-based line of a span's start, as in [`SourceMap::loc`] but
+    /// without building a [`Loc`] (0 for synthetic spans).
+    pub fn line(&self, span: Span) -> u32 {
+        if span.is_synthetic() {
+            return 0;
+        }
+        self.files[span.file.0 as usize].line_index(span.start) as u32 + 1
     }
 
     /// Returns the source text covered by a span (empty for synthetic spans).
@@ -348,6 +390,35 @@ mod tests {
         assert_eq!(sm.text(hdr), "long b;");
         assert_eq!(sm.text(later), "int c;");
         assert_eq!(sm.len(), 3);
+    }
+
+    #[test]
+    fn replay_replaces_entries_a_clone_still_shares() {
+        let mut sm = SourceMap::new();
+        let root = sm.add_file("r.c", "int a;\nint b;");
+        let hdr = sm.add_file("h.h", "int h;");
+        let before = sm.clone();
+        let parked = sm.entries(&[root, hdr]);
+        sm.begin_replay(vec![root, hdr]);
+        sm.add_file("r.c", "long a;");
+        sm.add_file("h.h", "long h;");
+        assert!(sm.end_replay());
+        assert_eq!(before.text(root), "int a;\nint b;");
+        assert_eq!(sm.text(root), "long a;");
+        sm.put_entries(&[root, hdr], parked);
+        assert_eq!(sm.text(root), "int a;\nint b;");
+        assert_eq!(sm.text(hdr), "int h;");
+    }
+
+    #[test]
+    fn line_matches_loc() {
+        let mut sm = SourceMap::new();
+        let f = sm.add_file("a.c", "abc\ndef\n\nx");
+        for offset in 0..10 {
+            let span = Span::new(f, offset, offset);
+            assert_eq!(sm.line(span), sm.loc(span).line);
+        }
+        assert_eq!(sm.line(Span::synthetic()), 0);
     }
 
     #[test]

@@ -138,6 +138,26 @@ pub fn function_def_hash(ast: &Ast, f: &FunctionDef) -> u64 {
     w.h.finish()
 }
 
+/// Hashes one top-level declaration structurally (specifiers, every
+/// declarator with its initializer), with no spans: moving a declaration
+/// leaves its hash alone, and changing what it declares changes it.
+pub fn declaration_hash(ast: &Ast, d: &Declaration) -> u64 {
+    let mut w = AstHasher { ast, h: StableHasher::new() };
+    w.declaration(d);
+    w.h.finish()
+}
+
+/// Hashes a function definition's header structurally: specifiers and
+/// declarator, so the name, parameters, annotations and globals list, but
+/// not the body and no spans. Under the same typedef names, equal header
+/// hashes mean an unchanged signature, however the header is spelled.
+pub fn function_header_hash(ast: &Ast, f: &FunctionDef) -> u64 {
+    let mut w = AstHasher { ast, h: StableHasher::new() };
+    w.specs(&f.specs);
+    w.declarator(&f.declarator);
+    w.h.finish()
+}
+
 /// Structural walker folding arena nodes into a [`StableHasher`]. Every
 /// variant writes a distinct tag byte before its payload so reorderings and
 /// boundary shifts cannot collide.
@@ -637,5 +657,136 @@ mod tests {
             only_fn_hash("int f(void) { return sizeof(int); }"),
             only_fn_hash("int f(void) { return sizeof(long); }")
         );
+    }
+
+    /// Each snippet parses to one item: `(pretty-print, structural hash)`
+    /// of that item, through `declaration_hash` or `function_header_hash`.
+    fn pretty_and_hash(src: &str) -> (String, u64) {
+        let (tu, _, _) = parse_translation_unit("t.c", src).expect("parses");
+        assert_eq!(tu.items.len(), 1, "{src}");
+        match &tu.items[0] {
+            Item::Decl(d) => {
+                let d = tu.arena.decl(*d);
+                (crate::pretty_print_declaration(&tu.arena, d), declaration_hash(&tu.arena, d))
+            }
+            Item::Function(f) => {
+                (crate::pretty_print_function(&tu.arena, f), function_header_hash(&tu.arena, f))
+            }
+        }
+    }
+
+    #[test]
+    fn item_hashes_are_at_least_as_strict_as_pretty_printing() {
+        // Every function below has the same body, so two of them
+        // pretty-print differently only where their headers differ.
+        let items = [
+            // typedefs
+            "typedef int T;",
+            "typedef long T;",
+            "typedef unsigned int T;",
+            "typedef int U;",
+            "typedef char *S;",
+            "typedef /*@only@*/ char *S;",
+            "typedef /*@null@*/ char *S;",
+            // structs and unions with annotated fields
+            "struct S { char *p; int n; };",
+            "struct S { /*@only@*/ char *p; int n; };",
+            "struct S { /*@null@*/ char *p; int n; };",
+            "struct S { int n; /*@only@*/ char *p; };",
+            "struct S { /*@only@*/ char *p, *q; int n; };",
+            "union S { char *p; int n; };",
+            "struct T { char *p; int n; };",
+            "struct S;",
+            "struct S *sp;",
+            // enums with values
+            "enum E { A, B };",
+            "enum E { A = 1, B };",
+            "enum E { A, B = 2 };",
+            "enum E { B, A };",
+            "enum E { A, B, C };",
+            "enum F { A, B };",
+            // initializer lists
+            "int a[3] = { 1, 2, 3 };",
+            "int a[3] = { 1, 2 };",
+            "int a[3] = { 1, 3, 2 };",
+            "int a[3] = { { 1 }, 2, 3 };",
+            "int a[] = { 1, 2, 3 };",
+            "int a[3];",
+            "int a[4];",
+            "int a[3] = { 1, 2, 3 }, b;",
+            // storage classes and qualifiers
+            "int x;",
+            "static int x;",
+            "extern int x;",
+            "extern const int x;",
+            "extern volatile int x;",
+            "extern /*@only@*/ char *x;",
+            "extern char *x, *y;",
+            "extern char *x;",
+            "extern char **x;",
+            "int x = 1;",
+            "int x = 2;",
+            // prototypes with annotated parameters
+            "void f(char *p);",
+            "void f(/*@only@*/ char *p);",
+            "void f(/*@null@*/ char *p);",
+            "void f(/*@out@*/ char *p);",
+            "void f(char *q);",
+            "void f(char *p, ...);",
+            "void f(char *p, int n);",
+            "int f(char *p);",
+            "static void f(char *p);",
+            "/*@only@*/ char *f(void);",
+            "char *f(void);",
+            "void f(void);",
+            "void g(void);",
+            // globals lists
+            "int f(void) /*@globals counter@*/;",
+            "int f(void) /*@globals undef counter@*/;",
+            "int f(void) /*@globals other@*/;",
+            "int f(void) /*@globals counter, other@*/;",
+            "int f(void);",
+            // function definitions: headers with params, annotations and
+            // globals lists
+            "int f(char *p) { return 0; }",
+            "int f(/*@only@*/ char *p) { return 0; }",
+            "int f(/*@null@*/ char *p) { return 0; }",
+            "int f(char *q) { return 0; }",
+            "int f(char *p, int n) { return 0; }",
+            "static int f(char *p) { return 0; }",
+            "long f(char *p) { return 0; }",
+            "int g(char *p) { return 0; }",
+            "/*@null@*/ char *h(void) { return 0; }",
+            "char *h(void) { return 0; }",
+            "int f(void) /*@globals counter@*/ { return 0; }",
+            "int f(void) /*@globals undef counter@*/ { return 0; }",
+            "int f(void) /*@globals other@*/ { return 0; }",
+            "int f(void) { return 0; }",
+        ];
+        let printed: Vec<(String, u64)> = items.iter().map(|s| pretty_and_hash(s)).collect();
+        let mut differing = 0;
+        for i in 0..items.len() {
+            for j in i + 1..items.len() {
+                if printed[i].0 != printed[j].0 {
+                    differing += 1;
+                    assert_ne!(printed[i].1, printed[j].1, "{} vs {}", items[i], items[j]);
+                }
+            }
+        }
+        assert_eq!(differing, items.len() * (items.len() - 1) / 2, "the table has duplicates");
+        // And not stricter than it needs to be: layout, comments and
+        // position never change an item's hash, nor does a function body.
+        let same = [
+            (
+                "struct S { /*@only@*/ char *p; int n; };",
+                "\n\nstruct S {\n  /*@only@*/ char *p; /* c */\n  int n;\n};",
+            ),
+            ("int a[3] = { 1, 2, 3 };", "int a[3]={1,2,3};"),
+            ("int f(void) /*@globals counter@*/;", "int f ( void )\n  /*@globals counter@*/ ;"),
+            ("int f(char *p) { return 0; }", "int f(char *p)\n{\n  return p != 0;\n}"),
+        ];
+        for (a, b) in same {
+            assert_eq!(pretty_and_hash(a).1, pretty_and_hash(b).1, "{a} vs {b}");
+        }
     }
 }
