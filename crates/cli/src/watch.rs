@@ -9,53 +9,36 @@
 //! --watch ... < /dev/null` checks once and returns) or, for tests and
 //! scripts, after `RLCLINT_WATCH_CYCLES` polls.
 
-use lclint_core::Session;
+use lclint_core::{CheckResult, Session};
 use std::io::Read;
+use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Watch-mode settings, from the command line.
-pub struct WatchConfig {
-    /// Poll interval in milliseconds.
-    pub poll_ms: u64,
-    /// Stop after this many polls (None = until stdin EOF). Driven by
-    /// the `RLCLINT_WATCH_CYCLES` environment variable.
-    pub max_cycles: Option<u64>,
-}
-
-fn print_result(result: &lclint_core::CheckResult) {
-    print!("{}", result.render());
-    let n = result.diagnostics.len();
-    if n > 0 || result.suppressed > 0 {
-        println!(
-            "\n{} code warning{} ({} suppressed)",
-            n,
-            if n == 1 { "" } else { "s" },
-            result.suppressed
-        );
-    }
+fn print_result(prog: &str, result: &CheckResult) {
+    crate::modes::print_report(result);
     for e in &result.sema_errors {
-        eprintln!("rlclint: {e}");
+        eprintln!("{prog}: {e}");
     }
 }
 
-/// Runs the watch loop to completion. Returns the process exit code:
-/// 0 for a clean exit, 2 when the initial build fails.
-pub fn run_watch(mut session: Session, cfg: WatchConfig) -> u8 {
-    let initial = match session.check(None) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("rlclint: {e}");
-            return 2;
-        }
-    };
+/// Runs the watch loop to completion, polling every `poll_ms` and, with
+/// `max_cycles`, stopping after that many polls even before stdin EOF.
+/// Returns exit 0 when the loop ends, or the initial build's error.
+pub(crate) fn run_watch(
+    prog: &str,
+    mut session: Session,
+    poll_ms: u64,
+    max_cycles: Option<u64>,
+) -> Result<ExitCode, String> {
+    let initial = session.check(None).map_err(|e| e.to_string())?;
     eprintln!(
-        "rlclint: watching {} file(s), polling every {} ms (end stdin to stop)",
+        "{prog}: watching {} file(s), polling every {} ms (end stdin to stop)",
         session.file_names().len(),
-        cfg.poll_ms
+        poll_ms
     );
-    print_result(&initial);
+    print_result(prog, &initial);
 
     // Stdin EOF is the stop signal: a reader thread drains it so the
     // poll loop never blocks on input.
@@ -72,12 +55,12 @@ pub fn run_watch(mut session: Session, cfg: WatchConfig) -> u8 {
 
     let mut cycles = 0u64;
     while !stop.load(Ordering::SeqCst) {
-        if let Some(max) = cfg.max_cycles {
+        if let Some(max) = max_cycles {
             if cycles >= max {
                 break;
             }
         }
-        std::thread::sleep(Duration::from_millis(cfg.poll_ms));
+        std::thread::sleep(Duration::from_millis(poll_ms));
         cycles += 1;
         for name in session.file_names() {
             let Ok(text) = std::fs::read_to_string(&name) else {
@@ -87,17 +70,17 @@ pub fn run_watch(mut session: Session, cfg: WatchConfig) -> u8 {
             if session.file_text(&name) == Some(text.as_str()) {
                 continue;
             }
-            eprintln!("rlclint: {name} changed");
+            eprintln!("{prog}: {name} changed");
             match session.did_change(&name, &text, None) {
-                Ok(r) => print_result(&r),
-                Err(e) => eprintln!("rlclint: {e}"),
+                Ok(r) => print_result(prog, &r),
+                Err(e) => eprintln!("{prog}: {e}"),
             }
         }
     }
     let s = session.stats();
     eprintln!(
-        "rlclint: watch done: {} rebuild(s), {} fast patch(es), {} no-op(s)",
+        "{prog}: watch done: {} rebuild(s), {} fast patch(es), {} no-op(s)",
         s.rebuilds, s.fast_patches, s.no_ops
     );
-    0
+    Ok(ExitCode::SUCCESS)
 }

@@ -1,4 +1,5 @@
-//! `rlclintd` — a persistent analysis server with warm in-memory sessions.
+//! The persistent analysis server behind `rlclintd` and `rlclint --daemon`
+//! (both in `lclint-cli`): warm in-memory sessions.
 //!
 //! The daemon keeps a [`Session`] alive across requests: the parsed
 //! program (shared AST arenas), the per-function check cache, and the

@@ -1,11 +1,8 @@
 //! Daemon lifecycle: a killed-and-restarted daemon with `--incremental`
-//! starts warm (cache hits on the first request), and the `rlclintd`
-//! binary serves a scripted stdio round trip.
+//! starts warm (cache hits on the first request).
 
 use lclint_core::{Flags, Linter, Session};
 use lclint_server::{json, Daemon};
-use std::io::Write;
-use std::process::{Command, Stdio};
 
 fn scratch_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("rlclintd-test-{}-{tag}", std::process::id()));
@@ -51,65 +48,5 @@ fn restart_with_incremental_dir_starts_warm() {
     assert_eq!(strip_ms(&warm), strip_ms(&cold), "restart must not change diagnostics");
     assert!(stats_field(&second, "cache_hits") > 0, "restart should start warm");
     assert_eq!(stats_field(&second, "cache_misses"), 0);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn rlclintd_binary_serves_a_stdio_round_trip() {
-    let dir = scratch_dir("stdio");
-    std::fs::create_dir_all(&dir).unwrap();
-    let src = dir.join("m.c");
-    std::fs::write(&src, "void f(void)\n{\n  char *p = (char *) malloc(4);\n  free(p);\n}\n")
-        .unwrap();
-
-    let mut child = Command::new(env!("CARGO_BIN_EXE_rlclintd"))
-        .arg(&src)
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .spawn()
-        .unwrap();
-    let mut stdin = child.stdin.take().unwrap();
-    // check (clean) -> didChange introducing a leak -> stats -> shutdown.
-    let edit = "void f(void)\\n{\\n  char *p = (char *) malloc(4);\\n  p = (char *) 0;\\n}\\n";
-    writeln!(stdin, r#"{{"id": 1, "method": "check"}}"#).unwrap();
-    writeln!(
-        stdin,
-        r#"{{"id": 2, "method": "didChange", "params": {{"file": {}, "text": "{edit}"}}}}"#,
-        {
-            let mut s = String::new();
-            json::write_escaped(&mut s, &src.display().to_string());
-            s
-        }
-    )
-    .unwrap();
-    writeln!(stdin, r#"{{"id": 3, "method": "stats"}}"#).unwrap();
-    writeln!(stdin, r#"{{"id": 4, "method": "shutdown"}}"#).unwrap();
-    drop(stdin);
-    let out = child.wait_with_output().unwrap();
-    assert!(out.status.success(), "daemon exit: {:?}", out.status);
-    let lines: Vec<&str> = std::str::from_utf8(&out.stdout).unwrap().lines().collect();
-    assert_eq!(lines.len(), 4, "{lines:?}");
-
-    let first = json::parse(lines[0]).unwrap();
-    assert_eq!(
-        first.get("result").unwrap().get("clean"),
-        Some(&json::Json::Bool(true)),
-        "{}",
-        lines[0]
-    );
-    let second = json::parse(lines[1]).unwrap();
-    assert_eq!(
-        second.get("result").unwrap().get("clean"),
-        Some(&json::Json::Bool(false)),
-        "{}",
-        lines[1]
-    );
-    let stats = json::parse(lines[2]).unwrap();
-    let stats = stats.get("result").unwrap();
-    assert_eq!(stats.get("requests").and_then(json::Json::as_usize), Some(2));
-    assert!(stats.get("symbols").and_then(json::Json::as_usize).unwrap() > 0);
-    let bye = json::parse(lines[3]).unwrap();
-    assert!(bye.get("result").is_some());
     let _ = std::fs::remove_dir_all(&dir);
 }
