@@ -143,27 +143,30 @@ pub struct CacheEntry {
     pub diags: Vec<RelocDiag>,
 }
 
-/// Counters for one checking run (reset by [`CheckCache::take_stats`]).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Definitions whose cached result was reused, whether it was held in
-    /// memory or fetched from the backing store (whose own traffic
-    /// [`CasStats`](crate::castore::CasStats) counts).
-    pub hits: usize,
-    /// Definitions with no cache entry at all.
-    pub misses: usize,
-    /// Definitions whose entry existed but no longer matched (edited body,
-    /// changed dependency, different options/libraries).
-    pub invalidations: usize,
-    /// Freshly checked results that could not be stored because a span had
-    /// no stable anchor.
-    pub uncacheable: usize,
-    /// Functions degraded by the fault guard (checker panic or exhausted
-    /// budget). Degraded results are never stored, so fixing the cause
-    /// re-checks exactly those functions.
-    pub degraded: usize,
-    /// Names of the definitions actually (re-)checked, in definition order.
-    pub checked: Vec<String>,
+lclint_syntax::counters! {
+    /// Counters for one checking run (reset by [`CheckCache::take_stats`]).
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    pub struct CacheStats {
+        /// Definitions whose cached result was reused, whether it was held
+        /// in memory or fetched from the backing store (whose own traffic
+        /// [`CasStats`](crate::castore::CasStats) counts).
+        hits: usize,
+        /// Definitions with no cache entry at all.
+        misses: usize,
+        /// Definitions whose entry existed but no longer matched (edited
+        /// body, changed dependency, different options/libraries).
+        invalidations: usize,
+        /// Freshly checked results that could not be stored because a span
+        /// had no stable anchor.
+        uncacheable: usize,
+        /// Functions degraded by the fault guard (checker panic or
+        /// exhausted budget). Degraded results are never stored, so fixing
+        /// the cause re-checks exactly those functions.
+        degraded: usize,
+        ;
+        /// Names of the definitions actually (re-)checked, in definition order.
+        checked: Vec<String>,
+    }
 }
 
 impl CacheStats {

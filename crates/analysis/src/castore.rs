@@ -51,6 +51,7 @@ use crate::diag::DiagKind;
 use crate::CACHE_FORMAT_VERSION;
 use lclint_sema::deps::DepSet;
 use lclint_syntax::stable_hash::StableHasher;
+use lclint_syntax::stats::Counters;
 use lclint_syntax::Symbol;
 use std::collections::BTreeSet;
 use std::fs;
@@ -64,46 +65,31 @@ const HEADER_LEN: usize = 8 + 4 + 4 + 8;
 /// Numbers temp files across every handle in the process.
 static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
 
-/// Counters for one store handle (since open or the last
-/// [`CasStore::take_stats`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CasStats {
-    /// `get` calls that returned a valid artifact.
-    pub hits: u64,
-    /// `get` calls that found nothing usable.
-    pub misses: u64,
-    /// Artifacts written.
-    pub puts: u64,
-    /// `put` calls that found the key already present (another writer won
-    /// the race first); the write still proceeds, last rename wins.
-    pub races: u64,
-    /// Artifacts discarded because magic/version/length/checksum failed.
-    pub corrupt: u64,
-    /// Artifacts evicted to keep the store under its byte bound.
-    pub evicted: u64,
+lclint_syntax::counters! {
+    /// Counters for one store handle (since open or the last
+    /// [`CasStore::take_stats`]).
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct CasStats {
+        /// `get` calls that returned a valid artifact.
+        hits: u64,
+        /// `get` calls that found nothing usable.
+        misses: u64,
+        /// Artifacts written.
+        puts: u64,
+        /// `put` calls that found the key already present (another writer
+        /// won the race first); the write still proceeds, last rename wins.
+        races: u64,
+        /// Artifacts discarded because magic/version/length/checksum failed.
+        corrupt: u64,
+        /// Artifacts evicted to keep the store under its byte bound.
+        evicted: u64,
+    }
 }
 
 impl CasStats {
     /// Field-wise sum (for aggregating worker counters into one report).
     pub fn add(&mut self, other: &CasStats) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.puts += other.puts;
-        self.races += other.races;
-        self.corrupt += other.corrupt;
-        self.evicted += other.evicted;
-    }
-
-    /// Field-wise difference from an earlier snapshot of the same handle.
-    pub fn since(&self, earlier: &CasStats) -> CasStats {
-        CasStats {
-            hits: self.hits - earlier.hits,
-            misses: self.misses - earlier.misses,
-            puts: self.puts - earlier.puts,
-            races: self.races - earlier.races,
-            corrupt: self.corrupt - earlier.corrupt,
-            evicted: self.evicted - earlier.evicted,
-        }
+        Counters::add(self, other);
     }
 }
 

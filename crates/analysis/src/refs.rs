@@ -184,11 +184,6 @@ impl RefTable {
         self.types[id.0 as usize].as_ref()
     }
 
-    /// Sets the type of a reference.
-    pub fn set_ty(&mut self, id: RefId, ty: QualType) {
-        self.types[id.0 as usize] = Some(ty);
-    }
-
     /// Looks up an existing path.
     pub fn lookup(&self, path: &Path) -> Option<RefId> {
         self.by_path.get(path).copied()

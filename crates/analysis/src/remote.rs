@@ -49,6 +49,7 @@
 use crate::castore::{payload_checksum, CasStats, CasStore};
 use lclint_syntax::json::{self, Json};
 use lclint_syntax::rng::SplitMix64;
+use lclint_syntax::stats::Counters;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::path::{Path, PathBuf};
@@ -58,60 +59,36 @@ use std::time::{Duration, Instant};
 // Stats
 // ---------------------------------------------------------------------------
 
-/// Counters for one remote client (mirroring [`CasStats`] so fleet
-/// workers can aggregate them into one suite report).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RemoteStats {
-    /// Remote `get`s that returned a checksum-valid payload.
-    pub hits: u64,
-    /// Remote `get`s the server answered with "not found".
-    pub misses: u64,
-    /// Remote `put`s acknowledged by the server.
-    pub puts: u64,
-    /// Frames rejected by checksum/decode validation — counted, never
-    /// trusted.
-    pub corrupt: u64,
-    /// Operations that failed outright (transport error after all
-    /// retries, or a server-side error response).
-    pub errors: u64,
-    /// Individual retry attempts (a single failed op can add several).
-    pub retries: u64,
-    /// Times the circuit breaker tripped open.
-    pub trips: u64,
-    /// Operations skipped locally because the breaker was open.
-    pub skipped: u64,
+lclint_syntax::counters! {
+    /// Counters for one remote client (mirroring [`CasStats`] so fleet
+    /// workers can aggregate them into one suite report).
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct RemoteStats {
+        /// Remote `get`s that returned a checksum-valid payload.
+        hits: u64,
+        /// Remote `get`s the server answered with "not found".
+        misses: u64,
+        /// Remote `put`s acknowledged by the server.
+        puts: u64,
+        /// Frames rejected by checksum/decode validation — counted, never
+        /// trusted.
+        corrupt: u64,
+        /// Operations that failed outright (transport error after all
+        /// retries, or a server-side error response).
+        errors: u64,
+        /// Individual retry attempts (a single failed op can add several).
+        retries: u64,
+        /// Times the circuit breaker tripped open.
+        trips: u64,
+        /// Operations skipped locally because the breaker was open.
+        skipped: u64,
+    }
 }
 
 impl RemoteStats {
     /// Field-wise sum (for aggregating worker counters into one report).
     pub fn add(&mut self, other: &RemoteStats) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.puts += other.puts;
-        self.corrupt += other.corrupt;
-        self.errors += other.errors;
-        self.retries += other.retries;
-        self.trips += other.trips;
-        self.skipped += other.skipped;
-    }
-
-    /// Field-wise difference from an earlier snapshot of the same handle.
-    pub fn since(&self, earlier: &RemoteStats) -> RemoteStats {
-        RemoteStats {
-            hits: self.hits - earlier.hits,
-            misses: self.misses - earlier.misses,
-            puts: self.puts - earlier.puts,
-            corrupt: self.corrupt - earlier.corrupt,
-            errors: self.errors - earlier.errors,
-            retries: self.retries - earlier.retries,
-            trips: self.trips - earlier.trips,
-            skipped: self.skipped - earlier.skipped,
-        }
-    }
-
-    /// True when every counter is zero (nothing to report).
-    pub fn is_empty(&self) -> bool {
-        *self == RemoteStats::default()
+        Counters::add(self, other);
     }
 }
 
@@ -488,11 +465,6 @@ impl Breaker {
             return true;
         }
         false
-    }
-
-    /// True while tripped open (probe window or not).
-    pub fn is_open(&self) -> bool {
-        self.opened_at.is_some()
     }
 }
 

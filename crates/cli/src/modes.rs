@@ -5,6 +5,7 @@
 use crate::Parsed;
 use lclint_core::{library, CheckResult, IncrementalSession, Linter};
 use lclint_syntax::json;
+use lclint_syntax::stats::{self, Counters};
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -77,45 +78,33 @@ pub(crate) fn check(
 /// phase-time counters, one JSON line with `--json`.
 fn print_stats(prog: &str, result: &CheckResult, json: bool) {
     if let Some(cs) = &result.cache_stats {
-        eprintln!(
-            "{prog}: cache: {} hits, {} misses, {} invalidations, {} uncacheable, {} checked",
-            cs.hits,
-            cs.misses,
-            cs.invalidations,
-            cs.uncacheable,
-            cs.checked.len()
-        );
+        eprintln!("{prog}: cache: {}, {} checked", stats::text(cs.counters()), cs.checked.len());
     }
     let sub = &result.substrate;
     let rss = lclint_core::peak_rss_bytes();
     if json {
-        // Machine-readable substrate counters, one line on stderr so the
-        // stdout diagnostics array keeps its shape.
-        let cwe_counts = result
-            .counts_by_cwe()
-            .iter()
-            .map(|(id, n)| format!("\"{id}\": {n}"))
-            .collect::<Vec<_>>()
-            .join(", ");
-        eprintln!(
-            "{{\"substrate\": {{\"exprs\": {}, \"expr_bytes\": {}, \"stmts\": {}, \
-             \"stmt_bytes\": {}, \"decls\": {}, \"decl_bytes\": {}, \"span_bytes\": {}, \
-             \"arena_bytes\": {}, \"symbols\": {}, \"frontend_jobs\": {}, \
-             \"typedef_reparses\": {}, \"peak_rss_bytes\": {}}}, \
-             \"cwe_counts\": {{{cwe_counts}}}}}",
-            sub.arena.exprs,
-            sub.arena.expr_bytes,
-            sub.arena.stmts,
-            sub.arena.stmt_bytes,
-            sub.arena.decls,
-            sub.arena.decl_bytes,
-            sub.arena.span_bytes,
-            sub.arena.total_bytes(),
-            sub.symbols,
-            sub.frontend_jobs,
-            sub.typedef_reparses,
-            rss.map_or_else(|| "null".to_owned(), |b| b.to_string()),
-        );
+        // Machine-readable counters, one line on stderr so the stdout
+        // diagnostics array keeps its shape.
+        let w = json::Writer::obj().object("substrate", |w| {
+            let w = w
+                .counters("", &sub.arena)
+                .num("arena_bytes", sub.arena.total_bytes())
+                .counters("", sub);
+            match rss {
+                Some(b) => w.num("peak_rss_bytes", b as usize),
+                None => w.raw("peak_rss_bytes", "null"),
+            }
+        });
+        let w = match &result.cache_stats {
+            Some(cs) => w.counters("cache_", cs),
+            None => w,
+        };
+        let line = w
+            .object("cwe_counts", |w| {
+                result.counts_by_cwe().iter().fold(w, |w, (id, n)| w.num(&id.to_string(), *n))
+            })
+            .done();
+        eprintln!("{line}");
         return;
     }
     eprintln!(

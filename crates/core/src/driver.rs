@@ -73,21 +73,24 @@ fn cached_stdlib() -> std::result::Result<&'static StdlibCache, &'static SyntaxE
     slot.as_ref()
 }
 
-/// Substrate counters: the flat-arena footprint of every parsed unit, the
-/// process-wide interner size, and how the front end ran. Reported by
-/// `--stats`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SubstrateStats {
-    /// Aggregated node-arena sizes across the run's units (stdlib included).
-    pub arena: ArenaStats,
-    /// Interned symbols alive in the process after the run.
-    pub symbols: usize,
-    /// Threads that preprocessed and parsed the roots of the last build.
-    pub frontend_jobs: usize,
-    /// Roots of the last build parsed twice because their speculative
-    /// parse looked up a typedef an earlier root declares. Deterministic:
-    /// the same for every `frontend_jobs`.
-    pub typedef_reparses: usize,
+lclint_syntax::counters! {
+    /// Substrate counters: the flat-arena footprint of every parsed unit,
+    /// the process-wide interner size, and how the front end ran. Reported
+    /// by `--stats`.
+    #[derive(Debug, Clone, Copy, Default)]
+    pub struct SubstrateStats {
+        /// Interned symbols alive in the process after the run.
+        symbols: usize,
+        /// Threads that preprocessed and parsed the roots of the last build.
+        frontend_jobs: usize,
+        /// Roots of the last build parsed twice because their speculative
+        /// parse looked up a typedef an earlier root declares.
+        /// Deterministic: the same for every `frontend_jobs`.
+        typedef_reparses: usize,
+        ;
+        /// Aggregated node-arena sizes across the run's units (stdlib included).
+        arena: ArenaStats,
+    }
 }
 
 /// Peak resident set size of this process in bytes (`VmHWM`), when the
@@ -284,22 +287,13 @@ impl CheckResult {
         self.diagnostics.is_empty() && self.sema_errors.is_empty()
     }
 
-    /// Message counts by class flag name (for summaries and harnesses).
-    pub fn counts_by_kind(&self) -> BTreeMap<String, usize> {
-        self.counts(|d| Some(d.kind.clone()))
-    }
-
     /// Message counts by CWE id (for `--stats` and the daemon's `stats`
     /// response). Diagnostics whose kind has no CWE mapping (syntax,
     /// internal, budget, ...) are not counted.
     pub fn counts_by_cwe(&self) -> BTreeMap<u32, usize> {
-        self.counts(|d| d.cwe)
-    }
-
-    fn counts<K: Ord>(&self, key: impl Fn(&RenderedDiagnostic) -> Option<K>) -> BTreeMap<K, usize> {
         let mut m = BTreeMap::new();
-        for k in self.diagnostics.iter().filter_map(key) {
-            *m.entry(k).or_insert(0) += 1;
+        for id in self.diagnostics.iter().filter_map(|d| d.cwe) {
+            *m.entry(id).or_insert(0) += 1;
         }
         m
     }

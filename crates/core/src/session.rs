@@ -81,27 +81,29 @@ struct Parked {
     spans: Vec<(Symbol, Option<Span>, Option<Span>)>,
 }
 
-/// Counters describing how a session has been serving checks.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SessionStats {
-    /// Full builds (cold start plus every fast-path fallback).
-    pub rebuilds: usize,
-    /// Edits served by the patch fast path.
-    pub fast_patches: usize,
-    /// Edits whose text was unchanged (served from memory).
-    pub no_ops: usize,
-    /// Overlays undone by swapping the parked canonical state back.
-    pub swaps: usize,
-    /// Cached per-function entries currently held.
-    pub cache_entries: usize,
-    /// Function definitions in the current program.
-    pub defs: usize,
-    /// Distinct interned symbols process-wide.
-    pub symbols: usize,
-    /// Bytes of interned text process-wide.
-    pub interned_bytes: usize,
-    /// Bytes of AST arena storage across the session's units.
-    pub arena_bytes: usize,
+lclint_syntax::counters! {
+    /// Counters describing how a session has been serving checks.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct SessionStats {
+        /// Full builds (cold start plus every fast-path fallback).
+        rebuilds: usize,
+        /// Edits served by the patch fast path.
+        fast_patches: usize,
+        /// Edits whose text was unchanged (served from memory).
+        no_ops: usize,
+        /// Overlays undone by swapping the parked canonical state back.
+        swaps: usize,
+        /// Cached per-function entries currently held.
+        cache_entries: usize,
+        /// Function definitions in the current program.
+        defs: usize,
+        /// Distinct interned symbols process-wide.
+        symbols: usize,
+        /// Bytes of interned text process-wide.
+        interned_bytes: usize,
+        /// Bytes of AST arena storage across the session's units.
+        arena_bytes: usize,
+    }
 }
 
 /// A persistent analysis session over a fixed root set.
@@ -130,10 +132,8 @@ pub struct Session {
     /// next request that needs canonical state restores it on demand, so
     /// an overlay storm on one file costs a single patch per request.
     loaded: Option<(String, String)>,
-    rebuilds: usize,
-    fast_patches: usize,
-    no_ops: usize,
-    swaps: usize,
+    /// The serving counters; [`Session::stats`] fills in the footprint.
+    served: SessionStats,
 }
 
 impl Session {
@@ -146,10 +146,7 @@ impl Session {
             inc: IncrementalSession::in_memory(),
             state: None,
             loaded: None,
-            rebuilds: 0,
-            fast_patches: 0,
-            no_ops: 0,
-            swaps: 0,
+            served: SessionStats::default(),
         }
     }
 
@@ -318,7 +315,7 @@ impl Session {
                 self.patch_or_rebuild(name, to, true, jobs)?;
             }
         } else if unchanged {
-            self.no_ops += 1;
+            self.served.no_ops += 1;
         } else if restoring {
             match self.state.as_mut().and_then(|st| st.parked.take()) {
                 Some(parked) => self.swap(parked, jobs),
@@ -359,15 +356,12 @@ impl Session {
             (st.built.arena_stats().total_bytes(), st.built.program.defs.len())
         });
         SessionStats {
-            rebuilds: self.rebuilds,
-            fast_patches: self.fast_patches,
-            no_ops: self.no_ops,
-            swaps: self.swaps,
             cache_entries: self.inc.len(),
             defs,
             symbols: lclint_syntax::symbol_count(),
             interned_bytes: lclint_syntax::interned_bytes(),
             arena_bytes,
+            ..self.served
         }
     }
 
@@ -382,7 +376,7 @@ impl Session {
     /// back here whenever a precondition fails. The old state is dropped
     /// first, so a failed build leaves none.
     fn rebuild(&mut self, jobs: Option<usize>) -> Result<()> {
-        self.rebuilds += 1;
+        self.served.rebuilds += 1;
         self.state = None;
         self.loaded = None;
         self.state =
@@ -518,7 +512,7 @@ impl Session {
         st.built.sema_ms = 0.0;
         let opts = opts(&self.linter, jobs);
         st.reprobe(&mut self.inc, &opts, self.linter.library_digest(), def_range, &exports);
-        self.fast_patches += 1;
+        self.served.fast_patches += 1;
         true
     }
 
@@ -551,7 +545,7 @@ impl Session {
         bp.sema_ms = 0.0;
         let opts = opts(&self.linter, jobs);
         st.reprobe(&mut self.inc, &opts, self.linter.library_digest(), def_range, &exports);
-        self.swaps += 1;
+        self.served.swaps += 1;
     }
 
     /// Builds a [`CheckResult`] from the warm state through the batch

@@ -6,7 +6,8 @@
 //! the session does not know) carrying one kind of edit, each aimed at one
 //! branch of the session's step: a body edit, a body-only `#define` edit, a
 //! signature edit, a declaration edit, a `#define` edit that changes a
-//! function header, a header edit, a parse error and its fix, a revert to
+//! function header, a new typedef and a local of that type in the next
+//! root's body, a header edit, a parse error and its fix, a revert to
 //! canonical text, and a no-op.
 //!
 //! Two oracles per step:
@@ -56,6 +57,11 @@ struct Root {
     step: u32,
     sig: usize,
     decl: usize,
+    /// Declares `typedef int t_{k};`, an item of its own.
+    typedef: bool,
+    /// `helper_k` declares a local of the previous root's typedef type,
+    /// which parses only while that root declares it (roots `k >= 1`).
+    uses_typedef: bool,
     /// Statements inserted before each of the two mutation points.
     body: [Vec<usize>; 2],
     broken: bool,
@@ -73,12 +79,16 @@ impl Root {
         };
         let run =
             if self.broken { format!("int run_{k}(void") } else { format!("int run_{k}(void)") };
+        let typedef = if self.typedef { format!("typedef int t_{k};\n") } else { String::new() };
+        let local =
+            if self.uses_typedef { format!("  t_{prev} tv_{k} = 0;\n") } else { String::new() };
         format!(
             "#include \"{HEADER}\"\n\
              #define ARG_{k} {arg}\n\
              #define STEP_{k} {step}\n\
              {decl}\n\
-             static int helper_{k}({sig}char *p)\n{{\n  if (p != 0) {{ *p = 'a'; }}\n{b0}  {MARK}\n  return STEP_{k};\n}}\n\
+             {typedef}\
+             static int helper_{k}({sig}char *p)\n{{\n{local}  if (p != 0) {{ *p = 'a'; }}\n{b0}  {MARK}\n  return STEP_{k};\n}}\n\
              void take_{k}(ARG_{k})\n{{\n  free(x);\n}}\n\
              {run}\n{{\n  char *s = shared_make(4);\n  total_{k} = total_{k} + helper_{k}(s) + run_{prev}();\n{b1}  {MARK}\n  free(s);\n  return total_{k};\n}}\n",
             arg = ARGS[self.arg],
@@ -90,12 +100,11 @@ impl Root {
         )
     }
 
-    /// Whether the session's patch gate accepts a move between two texts:
-    /// both parse, and only bodies (or macros used only in bodies) differ.
-    fn patchable(&self, other: &Root) -> bool {
-        !self.broken
-            && !other.broken
-            && (self.arg, self.sig, self.decl) == (other.arg, other.sig, other.decl)
+    /// Whether only bodies (or macros used only in bodies) differ between
+    /// two texts of the root: the patch gate's item pairing.
+    fn same_items(&self, other: &Root) -> bool {
+        (self.arg, self.sig, self.decl, self.typedef)
+            == (other.arg, other.sig, other.decl, other.typedef)
     }
 }
 
@@ -156,6 +165,8 @@ impl Model {
                 step: 1 + rng.below(3) as u32,
                 sig: 0,
                 decl: 0,
+                typedef: false,
+                uses_typedef: false,
                 body: [Vec::new(), Vec::new()],
                 broken: false,
             }));
@@ -191,11 +202,20 @@ impl Model {
         self.parked = false;
     }
 
-    /// A move of `f` from `from` to `to`: patch when the gate accepts,
-    /// else rebuild.
+    /// Whether a root's text parses. A patch happens only while every
+    /// other file is canonical, and any change to a typedef rebuilds, so
+    /// the previous root's canonical text is the context every parse of
+    /// this root sees.
+    fn parses(&self, r: &Root) -> bool {
+        let prev = 1 + (r.k + r.roots - 1) % r.roots;
+        !r.broken && (!r.uses_typedef || matches!(&self.canonical[prev], Doc::Root(p) if p.typedef))
+    }
+
+    /// A move of `f` from `from` to `to`: patch when the gate accepts (both
+    /// texts parse and their items pair up), else rebuild.
     fn patch_or_rebuild(&mut self, from: &Doc, to: &Doc, park: bool) {
         match (from, to) {
-            (Doc::Root(a), Doc::Root(b)) if a.patchable(b) => {
+            (Doc::Root(a), Doc::Root(b)) if self.parses(a) && self.parses(b) && a.same_items(b) => {
                 self.branches.push(Branch::Patch);
                 if park {
                     self.parked = true;
@@ -277,7 +297,7 @@ impl Model {
             r.broken = false;
             return (Doc::Root(r), "parse-error fix");
         }
-        let kind = match rng.below(10) {
+        let kind = match rng.below(12) {
             0..=3 => {
                 let at = rng.below(2) as usize;
                 if !r.body[at].is_empty() && rng.below(3) == 0 {
@@ -304,6 +324,18 @@ impl Model {
             7 => {
                 r.arg = 1 - r.arg;
                 "#define edit used in a function header"
+            }
+            10 if r.k > 0 => {
+                r.uses_typedef = !r.uses_typedef;
+                "local of the previous root's typedef"
+            }
+            10 | 11 => {
+                r.typedef = !r.typedef;
+                if r.typedef {
+                    "new typedef"
+                } else {
+                    "typedef removed"
+                }
             }
             _ => {
                 r.broken = true;
@@ -336,15 +368,16 @@ fn expected_deltas(branches: &[Branch]) -> [usize; 4] {
     [count(Branch::Rebuild), count(Branch::Patch), count(Branch::NoOp), count(Branch::Swap)]
 }
 
-/// Runs one seeded script and returns how often each branch was taken.
-fn run_script(seed: u64) -> [usize; 4] {
+/// Runs one seeded script and returns how often each branch was taken,
+/// then how often a local of another root's typedef was patched in.
+fn run_script(seed: u64) -> [usize; 5] {
     let mut rng = SplitMix64::seeded(seed);
     let roots = 3 + rng.below(3) as usize;
     let mut model = Model::new(roots, seed);
     let mut session =
         Session::new(Linter::new(Flags::default()), model.files(), model.roots.clone());
     let mut script: Vec<String> = Vec::new();
-    let mut taken = [0usize; 4];
+    let mut taken = [0usize; 5];
     for step in 0..STEPS {
         let before = session.stats();
         model.branches.clear();
@@ -382,6 +415,9 @@ fn run_script(seed: u64) -> [usize; 4] {
             let text = to.text(roots);
             let method = if overlay { "check_overlay" } else { "did_change" };
             model.move_file(f, to, overlay);
+            if kind.starts_with("local") && model.branches == [Branch::Patch] {
+                taken[4] += 1;
+            }
             let mut seen = model.files();
             if let Some((g, d)) = &model.loaded {
                 seen[*g].1 = d.text(roots);
@@ -416,7 +452,7 @@ fn run_script(seed: u64) -> [usize; 4] {
 
 #[test]
 fn seeded_edit_scripts_match_cold_runs_and_take_the_predicted_branch() {
-    let mut total = [0usize; 4];
+    let mut total = [0usize; 5];
     for seed in [1, 2, 3, 2026] {
         let taken = run_script(seed);
         for (t, n) in total.iter_mut().zip(taken) {
@@ -424,6 +460,7 @@ fn seeded_edit_scripts_match_cold_runs_and_take_the_predicted_branch() {
         }
     }
     // Every branch is exercised, not just reachable.
-    let [rebuilds, patches, no_ops, swaps] = total;
+    let [rebuilds, patches, no_ops, swaps, typedef_patches] = total;
     assert!(rebuilds >= 20 && patches >= 100 && no_ops >= 20 && swaps >= 20, "{total:?}");
+    assert!(typedef_patches >= 4, "{total:?}");
 }

@@ -4,10 +4,14 @@
 //! corpus whose small roots are parsed before the large root 0 checks that
 //! roots committed (and resolved) as they stream in keep the serial order.
 //! A warm session editing one file of the generated corpus takes the patch
-//! fast path on every edit and renders what a cold batch run renders.
+//! fast path on every edit and renders what a cold batch run renders, also
+//! when each edit is followed by an overlay check of another file, directly
+//! and through the daemon protocol.
 
 use lclint_core::{Flags, Linter, Session};
 use lclint_corpus::generator::{generate, GenConfig};
+use lclint_server::json::{self, Json, Writer};
+use lclint_server::Daemon;
 use lclint_syntax::FileId;
 
 fn linter(jobs: usize) -> Linter {
@@ -138,6 +142,12 @@ fn streamed_commits_match_across_front_end_jobs_and_a_patched_session() {
 /// bodies so every request is a real content change. Every edit must take
 /// the patch fast path, and every render must match a cold batch run over
 /// the same file contents.
+///
+/// Then the request pattern of perfbench's edit-storm: each edit is
+/// followed by an overlay check of `gen1.c`, so four file states alternate.
+/// The overlay patches in and parks the canonical unit, the next edit swaps
+/// it back first, and nothing rebuilds; once on a session, once through
+/// `Daemon::handle_line`.
 #[test]
 fn alternating_edits_patch_in_place_and_match_cold_batch_runs() {
     const EDITS: usize = 6;
@@ -146,10 +156,17 @@ fn alternating_edits_patch_in_place_and_match_cold_batch_runs() {
     let variant = |k: usize| {
         base.replace("/*MUTATION-POINT*/", &format!("  total = total + {k};\n/*MUTATION-POINT*/"))
     };
-    let cold: Vec<String> = (0..2)
-        .map(|k| {
+    let overlay =
+        files[1].1.replace("/*MUTATION-POINT*/", "  total = total * 3;\n/*MUTATION-POINT*/");
+    // State `s`: gen0.c holds `variant(s % 2)`; states 2 and 3 also see
+    // the overlay of gen1.c.
+    let cold: Vec<String> = (0..4)
+        .map(|s| {
             let mut edited = files.clone();
-            edited[0].1 = variant(k);
+            edited[0].1 = variant(s % 2);
+            if s >= 2 {
+                edited[1].1 = overlay.clone();
+            }
             linter(0).check_files(&edited, &roots).expect("corpus parses").render()
         })
         .collect();
@@ -165,4 +182,52 @@ fn alternating_edits_patch_in_place_and_match_cold_batch_runs() {
     let after = session.stats();
     assert_eq!(after.fast_patches - before.fast_patches, EDITS, "{after:?}");
     assert_eq!(after.rebuilds, before.rebuilds, "an edit fell back to a rebuild: {after:?}");
+
+    let before = after;
+    for k in 0..EDITS {
+        let r = session.did_change("gen0.c", &variant(k % 2), None).expect("edit check");
+        assert_eq!(r.render(), cold[k % 2], "edit {k} after an overlay");
+        let r = session.check_overlay("gen1.c", &overlay, None).expect("overlay check");
+        assert_eq!(r.render(), cold[2 + k % 2], "overlay after edit {k}");
+    }
+    let after = session.stats();
+    let deltas = |a: lclint_core::SessionStats, b: lclint_core::SessionStats| {
+        (b.fast_patches - a.fast_patches, b.swaps - a.swaps, b.rebuilds - a.rebuilds)
+    };
+    assert_eq!(deltas(before, after), (2 * EDITS, EDITS - 1, 0), "{after:?}");
+
+    // The same loop through the daemon protocol.
+    let daemon = Daemon::new(Session::new(linter(0), files.clone(), roots.clone()));
+    let call = |id: usize, method: &str, file: &str, text: &str| -> Json {
+        let req = Writer::obj()
+            .num("id", id)
+            .str("method", method)
+            .object("params", |w| w.str("file", file).str("text", text))
+            .done();
+        json::parse(&daemon.handle_line(&req)).expect("response is JSON")
+    };
+    let stats = || {
+        let resp = json::parse(&daemon.handle_line("{\"id\": 0, \"method\": \"stats\"}"));
+        let resp = resp.expect("stats response is JSON");
+        let n = |k: &str| resp.get("result").and_then(|r| r.get(k)).and_then(Json::as_usize);
+        (n("fast_patches"), n("swaps"), n("rebuilds"))
+    };
+    daemon.handle_line("{\"id\": 0, \"method\": \"check\"}");
+    assert_eq!(stats(), (Some(0), Some(0), Some(1)), "the cold check builds once");
+    for k in 0..EDITS {
+        for (s, method, file, text) in [
+            (k % 2, "didChange", "gen0.c", &variant(k % 2)),
+            (2 + k % 2, "check", "gen1.c", &overlay),
+        ] {
+            let resp = call(2 * k + 1 + s / 2, method, file, text);
+            let rendered =
+                resp.get("result").and_then(|r| r.get("rendered")).and_then(Json::as_str);
+            assert_eq!(rendered, Some(cold[s].as_str()), "daemon {method} after edit {k}");
+        }
+    }
+    assert_eq!(
+        stats(),
+        (Some(2 * EDITS), Some(EDITS - 1), Some(1)),
+        "no rebuild after the cold check"
+    );
 }

@@ -18,8 +18,9 @@
 use crate::score::{SuiteReport, TaskResult, UnknownReason};
 use crate::suite::TaskSpec;
 use crate::worker::{TaskOutput, TaskRunner};
-use lclint_core::{Flags, StoreConfig};
+use lclint_core::{CasStats, Flags, RemoteStats, StoreConfig};
 use lclint_server::json::{self, Json, Writer};
+use lclint_syntax::stats::Counters;
 use std::io::{self, BufRead, BufReader, Write as _};
 use std::path::PathBuf;
 use std::process::{Child, ChildStdin, Command, Stdio};
@@ -224,26 +225,14 @@ fn parse_task_response(line: &str) -> Option<TaskOutput> {
         Some(Json::Bool(b)) => Some(*b),
         _ => None,
     };
-    let count = |key: &str| result.get(key).and_then(Json::as_usize).unwrap_or(0) as u64;
-    let mut out = TaskOutput {
+    Some(TaskOutput {
         kinds,
         internal: flag("internal")?,
         budget: flag("budget")?,
+        cas: CasStats::from_json(result, "cas_"),
+        remote: RemoteStats::from_json(result, "remote_"),
         ms: result.get("ms").and_then(Json::as_f64).unwrap_or(0.0),
-        ..TaskOutput::default()
-    };
-    out.cas.hits = count("cas_hits");
-    out.cas.misses = count("cas_misses");
-    out.cas.puts = count("cas_puts");
-    out.remote.hits = count("remote_hits");
-    out.remote.misses = count("remote_misses");
-    out.remote.puts = count("remote_puts");
-    out.remote.corrupt = count("remote_corrupt");
-    out.remote.errors = count("remote_errors");
-    out.remote.retries = count("remote_retries");
-    out.remote.trips = count("remote_trips");
-    out.remote.skipped = count("remote_skipped");
-    Some(out)
+    })
 }
 
 /// Suite-run parameters.
@@ -559,5 +548,29 @@ mod tests {
         let err = parse_task_response("{\"id\": 1, \"error\": {\"message\": \"boom\"}}").unwrap();
         assert!(err.internal);
         assert!(parse_task_response("garbage").is_none());
+    }
+
+    #[test]
+    fn task_frames_carry_every_store_counter() {
+        let out = TaskOutput {
+            kinds: vec!["mustfree".to_owned(), "nullderef".to_owned()],
+            internal: false,
+            budget: true,
+            cas: CasStats { hits: 1, misses: 2, puts: 3, races: 4, corrupt: 5, evicted: 6 },
+            remote: RemoteStats {
+                hits: 7,
+                misses: 8,
+                puts: 9,
+                corrupt: 10,
+                errors: 11,
+                retries: 12,
+                trips: 13,
+                skipped: 14,
+            },
+            ms: 2.5,
+        };
+        let line =
+            lclint_server::result_response(Some(1.0), |w| crate::worker::write_task(w, &out));
+        assert_eq!(parse_task_response(&line), Some(out), "{line}");
     }
 }

@@ -11,6 +11,7 @@
 use crate::suite::{Category, Expected, TaskSpec};
 use crate::worker::TaskOutput;
 use lclint_core::{CasStats, RemoteStats};
+use lclint_syntax::stats::{self, Counters};
 use std::fmt::Write as _;
 
 /// Why a task scored `unknown`.
@@ -100,11 +101,6 @@ impl Outcome {
             Outcome::IncorrectFalse => "incorrect-false",
             Outcome::Unknown => "unknown",
         }
-    }
-
-    /// True for either incorrect outcome.
-    pub fn is_incorrect(&self) -> bool {
-        matches!(self, Outcome::IncorrectTrue | Outcome::IncorrectFalse)
     }
 }
 
@@ -356,18 +352,18 @@ impl SuiteReport {
         );
         let probes = self.cas.hits + self.cas.misses;
         let rate = if probes > 0 { self.cas.hits as f64 / probes as f64 * 100.0 } else { 0.0 };
+        // Hits and misses lead each line; the rest follow their listing.
         let _ = writeln!(
             s,
-            "cas: {} hits / {} misses ({rate:.1}% hit rate), {} puts, {} races, {} corrupt, {} evicted",
-            self.cas.hits, self.cas.misses, self.cas.puts, self.cas.races, self.cas.corrupt, self.cas.evicted
+            "cas: {} hits / {} misses ({rate:.1}% hit rate), {}",
+            self.cas.hits,
+            self.cas.misses,
+            stats::text(self.cas.counters().skip(2))
         );
         if !self.remote.is_empty() {
             let r = &self.remote;
-            let _ = writeln!(
-                s,
-                "remote: {} hits / {} misses, {} puts, {} corrupt, {} errors, {} retries, {} trips, {} skipped",
-                r.hits, r.misses, r.puts, r.corrupt, r.errors, r.retries, r.trips, r.skipped
-            );
+            let rest = stats::text(r.counters().skip(2));
+            let _ = writeln!(s, "remote: {} hits / {} misses, {rest}", r.hits, r.misses);
         }
         s
     }

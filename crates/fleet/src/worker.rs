@@ -30,13 +30,14 @@ use lclint_core::{
 };
 use lclint_server::json::{self, Json, Writer};
 use lclint_server::{error_response, result_response, Handler};
+use lclint_syntax::stats::Counters;
 use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
 /// What a worker reports for one task.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TaskOutput {
     /// Sorted, deduplicated diagnostic kind flag names (plus `syntax`
     /// when semantic errors were reported).
@@ -236,34 +237,20 @@ impl Worker {
 
     fn handle_stats(&self, id: Option<f64>) -> String {
         let runner = self.runner.lock().unwrap_or_else(|e| e.into_inner());
-        let totals = runner.cas_totals();
         result_response(id, |w| {
-            w.num("cas_hits", totals.hits as usize)
-                .num("cas_misses", totals.misses as usize)
-                .num("cas_puts", totals.puts as usize)
-                .num("cas_races", totals.races as usize)
-                .num("cas_corrupt", totals.corrupt as usize)
-                .num("cas_evicted", totals.evicted as usize)
+            w.counters("cas_", &runner.cas_totals()).counters("remote_", &runner.remote_totals())
         })
     }
 }
 
 /// Writes a task response body's members (`ms` last, matching the daemon).
-fn write_task(w: Writer, out: &TaskOutput) -> Writer {
+/// The coordinator reads the store counters back from the same listings.
+pub(crate) fn write_task(w: Writer, out: &TaskOutput) -> Writer {
     w.str_arr("kinds", &out.kinds)
         .bool("internal", out.internal)
         .bool("budget", out.budget)
-        .num("cas_hits", out.cas.hits as usize)
-        .num("cas_misses", out.cas.misses as usize)
-        .num("cas_puts", out.cas.puts as usize)
-        .num("remote_hits", out.remote.hits as usize)
-        .num("remote_misses", out.remote.misses as usize)
-        .num("remote_puts", out.remote.puts as usize)
-        .num("remote_corrupt", out.remote.corrupt as usize)
-        .num("remote_errors", out.remote.errors as usize)
-        .num("remote_retries", out.remote.retries as usize)
-        .num("remote_trips", out.remote.trips as usize)
-        .num("remote_skipped", out.remote.skipped as usize)
+        .counters("cas_", &out.cas)
+        .counters("remote_", &out.remote)
         .ms("ms", out.ms)
 }
 

@@ -49,12 +49,6 @@ pub fn field_offset(
     None
 }
 
-/// True when slots of this type hold pointers (used for zero-initialization
-/// of globals: a zeroed pointer slot is the null pointer).
-pub fn is_pointer_slot(ty: &Type) -> bool {
-    matches!(ty, Type::Pointer(_))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

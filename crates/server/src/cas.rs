@@ -91,16 +91,10 @@ impl CasService {
 
     fn handle_stat(&self) -> String {
         let store = self.store.lock().unwrap_or_else(|e| e.into_inner());
-        let s = *store.stats();
         Writer::obj()
             .bool("ok", true)
             .num("bytes", store.total_bytes() as usize)
-            .num("hits", s.hits as usize)
-            .num("misses", s.misses as usize)
-            .num("puts", s.puts as usize)
-            .num("races", s.races as usize)
-            .num("corrupt", s.corrupt as usize)
-            .num("evicted", s.evicted as usize)
+            .counters("", store.stats())
             .done()
     }
 }

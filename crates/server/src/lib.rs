@@ -39,7 +39,8 @@ pub mod cas;
 pub use lclint_syntax::json;
 
 use json::{Json, Writer};
-use lclint_core::{CheckResult, RenderedText, Session};
+use lclint_core::{CacheStats, CheckResult, RenderedText, Session};
+use lclint_syntax::stats::Counters;
 use std::collections::BTreeMap;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::TcpListener;
@@ -54,8 +55,8 @@ use std::time::Instant;
 #[derive(Debug, Default, Clone)]
 struct Totals {
     requests: u64,
-    cache_hits: u64,
-    cache_misses: u64,
+    /// Summed counters only: `checked` stays empty.
+    cache: CacheStats,
     cwe_counts: BTreeMap<u32, usize>,
 }
 
@@ -157,8 +158,7 @@ impl Daemon {
         totals.requests += 1;
         totals.cwe_counts = result.counts_by_cwe();
         if let Some(cs) = &result.cache_stats {
-            totals.cache_hits += cs.hits as u64;
-            totals.cache_misses += cs.misses as u64;
+            totals.cache.add(cs);
         }
         let ms = started.elapsed().as_secs_f64() * 1000.0;
         result_response(id, |w| write_check(w, &result, ms))
@@ -168,25 +168,14 @@ impl Daemon {
         let guard = self.session.lock().unwrap_or_else(|e| e.into_inner());
         let (session, totals) = &*guard;
         let s = session.stats();
-        let hit_rate = if totals.cache_hits + totals.cache_misses > 0 {
-            totals.cache_hits as f64 / (totals.cache_hits + totals.cache_misses) as f64
-        } else {
-            0.0
-        };
+        let c = &totals.cache;
+        let hit_rate =
+            if c.hits + c.misses > 0 { c.hits as f64 / (c.hits + c.misses) as f64 } else { 0.0 };
         result_response(id, |w| {
             w.num("requests", totals.requests as usize)
-                .num("rebuilds", s.rebuilds)
-                .num("fast_patches", s.fast_patches)
-                .num("no_ops", s.no_ops)
-                .num("swaps", s.swaps)
-                .num("cache_entries", s.cache_entries)
-                .num("cache_hits", totals.cache_hits as usize)
-                .num("cache_misses", totals.cache_misses as usize)
+                .counters("", &s)
+                .counters("cache_", c)
                 .ms("cache_hit_rate", hit_rate)
-                .num("defs", s.defs)
-                .num("symbols", s.symbols)
-                .num("interned_bytes", s.interned_bytes)
-                .num("arena_bytes", s.arena_bytes)
                 .object("cwe_counts", |w| {
                     totals.cwe_counts.iter().fold(w, |w, (id, n)| w.num(&id.to_string(), *n))
                 })

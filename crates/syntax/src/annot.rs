@@ -323,11 +323,6 @@ impl AnnotSet {
         self.annots.contains(&Annot::NoReturn)
     }
 
-    /// True if `unused` is present.
-    pub fn is_unused(&self) -> bool {
-        self.annots.contains(&Annot::Unused)
-    }
-
     /// True if `refcounted` is present.
     pub fn is_refcounted(&self) -> bool {
         self.annots.contains(&Annot::RefCounted)

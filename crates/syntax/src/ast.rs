@@ -16,6 +16,7 @@
 use crate::annot::AnnotSet;
 use crate::intern::{sym, Symbol};
 use crate::span::Span;
+use crate::stats::Counters;
 use std::fmt;
 use std::sync::Arc;
 
@@ -42,35 +43,31 @@ pub struct Ast {
     decls: Vec<Declaration>,
 }
 
-/// Per-node-kind arena footprint, for `--stats`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ArenaStats {
-    /// Expression nodes.
-    pub exprs: usize,
-    /// Bytes of expression payload storage.
-    pub expr_bytes: usize,
-    /// Statement nodes.
-    pub stmts: usize,
-    /// Bytes of statement payload storage.
-    pub stmt_bytes: usize,
-    /// Declaration nodes.
-    pub decls: usize,
-    /// Bytes of declaration payload storage.
-    pub decl_bytes: usize,
-    /// Bytes of span side tables.
-    pub span_bytes: usize,
+crate::counters! {
+    /// Per-node-kind arena footprint, for `--stats`.
+    #[derive(Debug, Clone, Copy, Default)]
+    pub struct ArenaStats {
+        /// Expression nodes.
+        exprs: usize,
+        /// Bytes of expression payload storage.
+        expr_bytes: usize,
+        /// Statement nodes.
+        stmts: usize,
+        /// Bytes of statement payload storage.
+        stmt_bytes: usize,
+        /// Declaration nodes.
+        decls: usize,
+        /// Bytes of declaration payload storage.
+        decl_bytes: usize,
+        /// Bytes of span side tables.
+        span_bytes: usize,
+    }
 }
 
 impl ArenaStats {
     /// Merges another arena's counters into this one.
     pub fn absorb(&mut self, other: &ArenaStats) {
-        self.exprs += other.exprs;
-        self.expr_bytes += other.expr_bytes;
-        self.stmts += other.stmts;
-        self.stmt_bytes += other.stmt_bytes;
-        self.decls += other.decls;
-        self.decl_bytes += other.decl_bytes;
-        self.span_bytes += other.span_bytes;
+        self.add(other);
     }
 
     /// Total payload + side-table bytes.

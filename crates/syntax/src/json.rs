@@ -7,6 +7,7 @@
 //! machine-written value at a time, so a small parser suffices. Numbers are
 //! kept as `f64`: the formats carry small integers, timings and ratios.
 
+use crate::stats::Counters;
 use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
 
@@ -337,6 +338,16 @@ impl Writer {
     pub fn num(mut self, k: &str, v: usize) -> Self {
         self.key(k);
         let _ = write!(self.buf, "{v}");
+        self
+    }
+
+    /// Adds one integer member per counter of `c`, named `prefix`
+    /// followed by the counter's name, in declaration order.
+    pub fn counters(mut self, prefix: &str, c: &impl Counters) -> Self {
+        for (name, v) in c.counters() {
+            self.key(&format!("{prefix}{name}"));
+            let _ = write!(self.buf, "{v}");
+        }
         self
     }
 

@@ -36,6 +36,7 @@ pub mod pretty;
 pub mod rng;
 pub mod span;
 pub mod stable_hash;
+pub mod stats;
 pub mod token;
 
 pub use annot::{AllocAnnot, Annot, AnnotSet, DefAnnot, ExposureAnnot, NullAnnot};
