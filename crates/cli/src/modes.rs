@@ -75,11 +75,8 @@ pub(crate) fn check(
 }
 
 /// The `--stats` block on stderr: cache, arena, interner, front-end and
-/// phase-time counters, one JSON line with `--json`.
+/// phase-time counters; with `--json`, exactly one JSON line instead.
 fn print_stats(prog: &str, result: &CheckResult, json: bool) {
-    if let Some(cs) = &result.cache_stats {
-        eprintln!("{prog}: cache: {}, {} checked", stats::text(cs.counters()), cs.checked.len());
-    }
     let sub = &result.substrate;
     let rss = lclint_core::peak_rss_bytes();
     if json {
@@ -106,6 +103,9 @@ fn print_stats(prog: &str, result: &CheckResult, json: bool) {
             .done();
         eprintln!("{line}");
         return;
+    }
+    if let Some(cs) = &result.cache_stats {
+        eprintln!("{prog}: cache: {}, {} checked", stats::text(cs.counters()), cs.checked.len());
     }
     eprintln!(
         "{prog}: arena: {} exprs ({} B), {} stmts ({} B), {} decls ({} B), {} B spans, {} B total",

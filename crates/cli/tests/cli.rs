@@ -150,6 +150,23 @@ fn stats_without_incremental_reports_counters() {
     assert_eq!(out.status.code(), Some(0));
 }
 
+/// `--stats --json` writes exactly one JSON object to stderr, and the cache
+/// counters travel inside it rather than on a text line of their own.
+#[test]
+fn stats_json_is_one_json_object_on_stderr() {
+    let path = write_temp(
+        "stjson.c",
+        "void f(void)\n{\n  char *p = (char *) malloc(8);\n  *p = 1;\n  free(p);\n}\n",
+    );
+    let out = rlclint().args(["--stats", "--json"]).arg(&path).output().expect("runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let v = json::parse(&stderr)
+        .unwrap_or_else(|e| panic!("stderr is not one JSON value: {e}\n{stderr}"));
+    assert_eq!(v.get("cache_misses").and_then(Json::as_usize), Some(1), "{stderr}");
+    assert!(v.get("substrate").is_some(), "{stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+}
+
 #[test]
 fn emit_lib_strips_bodies() {
     let path = write_temp(
