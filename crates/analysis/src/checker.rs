@@ -244,11 +244,11 @@ impl<'p> Checker<'p> {
                 Some(n) => n,
                 None => continue,
             };
-            let local = self.table.intern_typed(Path::root(RefBase::Param(i, name)), p.ty.clone());
-            let shadow = self.table.intern_typed(Path::root(RefBase::Arg(i, name)), p.ty.clone());
+            let local = self.table.intern_typed(Path::root(RefBase::Param(i, name)), &p.ty);
+            let shadow = self.table.intern_typed(Path::root(RefBase::Arg(i, name)), &p.ty);
             let st = self.entry_param_state(&p.ty, fn_span);
             let is_out = p.ty.annots.def() == Some(DefAnnot::Out);
-            env.set(local, st.clone());
+            env.set(local, st);
             env.set(shadow, st);
             env.add_alias(local, shadow);
             // An out parameter's pointed-to fields start undefined and must
@@ -318,7 +318,7 @@ impl<'p> Checker<'p> {
             },
             None => None,
         };
-        let id = self.table.intern_typed(Path::root(RefBase::Global(name)), g.ty.clone());
+        let id = self.table.intern_typed(Path::root(RefBase::Global(name)), &g.ty);
         if !env.contains(id) {
             let def = if listed_undef == Some(true) {
                 DefState::Undefined
@@ -359,11 +359,11 @@ impl<'p> Checker<'p> {
     /// Resolves a name to its reference: locals shadow parameters shadow
     /// globals.
     pub(crate) fn base_ref(&mut self, env: &mut Env, name: Symbol) -> Option<RefId> {
-        if let Some(ty) = self.local_types.get(&name).cloned() {
+        if let Some(ty) = self.local_types.get(&name) {
             return Some(self.table.intern_typed(Path::root(RefBase::Local(name)), ty));
         }
         if let Some(&i) = self.param_index.get(&name) {
-            let ty = self.sig.ty.params[i].ty.clone();
+            let ty = &self.sig.ty.params[i].ty;
             return Some(self.table.intern_typed(Path::root(RefBase::Param(i, name)), ty));
         }
         self.global_ref(env, name)
@@ -371,7 +371,7 @@ impl<'p> Checker<'p> {
 
     /// Reads a reference's state (tracked or implicit).
     pub(crate) fn state_of(&self, env: &Env, r: RefId) -> RefState {
-        env.get(r).cloned().unwrap_or_else(|| implicit_state(env, &self.table, r))
+        env.get(r).copied().unwrap_or_else(|| implicit_state(env, &self.table, r))
     }
 
     /// Writes a state to a reference and propagates the *storage* properties
@@ -402,7 +402,7 @@ impl<'p> Checker<'p> {
         alloc: AllocState,
         release_site: Option<Span>,
     ) {
-        let mut targets: Vec<RefId> = env.all_aliases_of(r).into_iter().collect();
+        let mut targets = env.all_aliases_of(r);
         targets.push(r);
         for t in targets {
             let mut st = self.state_of(env, t);
@@ -456,10 +456,10 @@ impl<'p> Checker<'p> {
         env: &mut Env,
         base: RefId,
         step: RefStep,
-        ty: Option<QualType>,
+        ty: Option<&QualType>,
     ) -> RefId {
         let path = self.table.path(base).extended(step);
-        let id = match ty.clone() {
+        let id = match ty {
             Some(t) => self.table.intern_typed(path, t),
             None => self.table.intern(path),
         };
@@ -467,20 +467,21 @@ impl<'p> Checker<'p> {
             let st = implicit_state(env, &self.table, id);
             env.set(id, st);
         }
-        for a in env.all_aliases_of(base) {
+        let mut aids = env.all_aliases_of(base);
+        for aid in &mut aids {
             // Only extend through named storage (not temporaries — their
             // paths are meaningless to users).
-            let apath = self.table.path(a).extended(step);
-            let aid = match ty.clone() {
+            let apath = self.table.path(*aid).extended(step);
+            *aid = match ty {
                 Some(t) => self.table.intern_typed(apath, t),
                 None => self.table.intern(apath),
             };
-            if !env.contains(aid) {
+            if !env.contains(*aid) {
                 let st = self.state_of(env, id);
-                env.set(aid, st);
+                env.set(*aid, st);
             }
-            env.add_loc_alias(id, aid);
         }
+        env.add_loc_aliases(id, aids);
         id
     }
 
@@ -722,12 +723,12 @@ impl<'p> Checker<'p> {
             Value::Ref(r) => {
                 let r = *r;
                 let st = self.state_of(env, r);
-                let name = self.table.name(r);
                 // Null-state of the result itself.
                 if ret_ty.is_pointerish()
                     && !matches!(ret_ty.annots.null(), Some(NullAnnot::Null | NullAnnot::RelNull))
                     && st.null.may_be_null()
                 {
+                    let name = self.table.name(r);
                     let mut d = Diagnostic::new(
                         DiagKind::NullMismatch,
                         format!("Possibly null storage {name} returned as non-null result"),
@@ -748,6 +749,7 @@ impl<'p> Checker<'p> {
                     }
                     let declared = self.table.ty(dref).and_then(|t| t.annots.null());
                     if declared.is_none() {
+                        let name = self.table.name(r);
                         let dname = self.table.name(dref);
                         let ds_null_site = ds.null_site;
                         let mut d = Diagnostic::new(
@@ -772,12 +774,14 @@ impl<'p> Checker<'p> {
                         // for every reference to this storage.
                         self.alloc_write_all(env, r, AllocState::Kept, None);
                     } else if matches!(st.alloc, AllocState::Temp) {
+                        let name = self.table.name(r);
                         self.report(Diagnostic::new(
                             DiagKind::AllocMismatch,
                             format!("Temp storage {name} returned as only result"),
                             span,
                         ));
                     } else if matches!(st.alloc, AllocState::Kept | AllocState::Dependent) {
+                        let name = self.table.name(r);
                         self.report(Diagnostic::new(
                             DiagKind::AllocMismatch,
                             format!(
@@ -791,6 +795,7 @@ impl<'p> Checker<'p> {
                 {
                     // Fresh storage escapes through a result that does not
                     // transfer the obligation: suspected leak (§6).
+                    let name = self.table.name(r);
                     let mut d = Diagnostic::new(
                         DiagKind::MemoryLeak,
                         format!(
@@ -1204,8 +1209,7 @@ impl Checker<'_> {
         for id in &d.declarators {
             let Some(name) = id.declarator.name else { continue };
             let ty = self.scope.resolve_local_declarator(ast, &d.specs, &id.declarator);
-            self.local_types.insert(name, ty.clone());
-            let r = self.table.intern_typed(Path::root(RefBase::Local(name)), ty.clone());
+            let r = self.table.intern_typed(Path::root(RefBase::Local(name)), &ty);
             // A (re)declaration severs old aliases and derived state.
             for dref in self.table.derived_of(r) {
                 env.remove(dref);
@@ -1226,6 +1230,7 @@ impl Checker<'_> {
                 // its *elements* start out undefined (tracked per element).
                 st.def = DefState::Allocated;
             }
+            self.local_types.insert(name, ty);
             env.set(r, st);
             match &id.init {
                 Some(Initializer::Expr(e)) => {

@@ -216,7 +216,7 @@ impl Checker<'_> {
                     self.check_deref(env, br, at, AccessKind::Arrow, field);
                 }
                 let fty = self.field_type(br, field, arrow);
-                Some(self.extend_ref(env, br, RefStep::Field(field), fty))
+                Some(self.extend_ref(env, br, RefStep::Field(field), fty.as_ref()))
             }
             ExprKind::Unary(UnOp::Deref, inner) => {
                 let inner = *inner;
@@ -224,7 +224,7 @@ impl Checker<'_> {
                 let at = ast.expr_span(inner);
                 self.check_deref(env, br, at, AccessKind::Deref, sym::empty());
                 let ty = self.table.ty(br).and_then(|t| t.pointee().cloned());
-                Some(self.extend_ref(env, br, RefStep::Deref, ty))
+                Some(self.extend_ref(env, br, RefStep::Deref, ty.as_ref()))
             }
             ExprKind::Index(base, idx) => {
                 let (base, idx) = (*base, *idx);
@@ -236,7 +236,7 @@ impl Checker<'_> {
                     self.check_const_index(env, br, i, ast.expr_span(e));
                 }
                 let ty = self.table.ty(br).and_then(|t| t.pointee().cloned());
-                Some(self.extend_ref(env, br, RefStep::Index, ty))
+                Some(self.extend_ref(env, br, RefStep::Index, ty.as_ref()))
             }
             ExprKind::Cast(_, inner) => self.ref_of_expr(env, *inner),
             ExprKind::Comma(_, r) => self.ref_of_expr(env, *r),
@@ -254,8 +254,8 @@ impl Checker<'_> {
 
     /// The type of `base->field` / `base.field`.
     fn field_type(&mut self, base: RefId, field: Symbol, arrow: bool) -> Option<QualType> {
-        let bty = self.table.ty(base)?.clone();
-        let sty = if arrow { bty.pointee()?.clone() } else { bty };
+        let bty = self.table.ty(base)?;
+        let sty = if arrow { bty.pointee()? } else { bty };
         match sty.ty {
             Type::Struct(id) => {
                 let def = self.scope.struct_def(id);
@@ -301,9 +301,9 @@ impl Checker<'_> {
         }
         self.observe_deref(r);
         let mut st = self.state_of(env, r);
-        let name = self.table.name(r);
         let mut changed = false;
         if st.def == DefState::Undefined {
+            let name = self.table.name(r);
             self.report(Diagnostic::new(
                 DiagKind::UseBeforeDef,
                 format!("Variable {name} used before definition"),
@@ -313,6 +313,7 @@ impl Checker<'_> {
             changed = true;
         }
         if !st.alloc.usable() {
+            let name = self.table.name(r);
             let mut d = Diagnostic::new(
                 DiagKind::UseAfterRelease,
                 format!("Storage {name} used after being released"),
@@ -326,6 +327,7 @@ impl Checker<'_> {
             changed = true;
         }
         if st.null.may_be_null() {
+            let name = self.table.name(r);
             let msg = match kind {
                 AccessKind::Arrow => {
                     format!("Arrow access from possibly null pointer {name}: {name}->{field}")
@@ -356,9 +358,9 @@ impl Checker<'_> {
         }
         self.observe_rvalue_use(r);
         let mut st = self.state_of(env, r);
-        let name = self.table.name(r);
         let mut changed = false;
         if st.def == DefState::Undefined {
+            let name = self.table.name(r);
             self.report(Diagnostic::new(
                 DiagKind::UseBeforeDef,
                 format!("Variable {name} used before definition"),
@@ -368,6 +370,7 @@ impl Checker<'_> {
             changed = true;
         }
         if !st.alloc.usable() {
+            let name = self.table.name(r);
             let mut d = Diagnostic::new(
                 DiagKind::UseAfterRelease,
                 format!("Storage {name} used after being released"),
@@ -401,7 +404,7 @@ impl Checker<'_> {
                     .derived_of(*r)
                     .into_iter()
                     .filter_map(|d| {
-                        let ds = env.get(d)?.clone();
+                        let ds = *env.get(d)?;
                         let rel =
                             self.table.path(d).steps[self.table.path(*r).steps.len()..].to_vec();
                         Some((rel, self.table.ty(d).cloned(), ds, d))
@@ -528,12 +531,11 @@ impl Checker<'_> {
             }
             Value::Ref(r) => {
                 let (st, aliases, derived) = rhs_snapshot.expect("snapshot taken for refs");
-                let mut new = st.clone();
+                let mut new = st;
                 new.alloc_site = Some(span);
                 // Allocation transfer rules.
+                let names = |table: &crate::refs::RefTable| (table.name(lhs), table.name(r));
                 if declared_only {
-                    let lhs_name = self.table.name(lhs);
-                    let r_name = self.table.name(r);
                     if st.null == NullState::Null {
                         new.alloc = declared.expect("declared_only implies declared");
                     } else if st.alloc.has_obligation() {
@@ -544,6 +546,7 @@ impl Checker<'_> {
                     } else {
                         match st.alloc {
                             AllocState::Temp => {
+                                let (lhs_name, r_name) = names(&self.table);
                                 let mut d = Diagnostic::new(
                                     DiagKind::AllocMismatch,
                                     format!(
@@ -560,6 +563,7 @@ impl Checker<'_> {
                             }
                             AllocState::Unknown => {
                                 if self.opts.report_implicit_temp {
+                                    let (lhs_name, r_name) = names(&self.table);
                                     self.report(Diagnostic::new(
                                         DiagKind::AllocMismatch,
                                         format!(
@@ -572,6 +576,7 @@ impl Checker<'_> {
                                 new.alloc = declared.expect("declared_only implies declared");
                             }
                             other => {
+                                let (lhs_name, r_name) = names(&self.table);
                                 let mut d = Diagnostic::new(
                                     DiagKind::AllocMismatch,
                                     format!(
@@ -596,8 +601,7 @@ impl Checker<'_> {
                     // Fresh storage escapes into unannotated external
                     // storage: the obligation can never be discharged (§6,
                     // the eref_pool anomalies).
-                    let lhs_name = self.table.name(lhs);
-                    let r_name = self.table.name(r);
+                    let (lhs_name, r_name) = names(&self.table);
                     let mut d = Diagnostic::new(
                         DiagKind::AllocMismatch,
                         format!(
@@ -644,20 +648,14 @@ impl Checker<'_> {
                         && p.steps.len() >= lhs_path.steps.len()
                         && p.steps[..lhs_path.steps.len()] == lhs_path.steps[..]
                 };
-                if !is_stale(&self.table, r) {
-                    env.add_alias(lhs, r);
-                }
-                for a in aliases {
-                    if !is_stale(&self.table, a) {
-                        env.add_alias(lhs, a);
-                    }
-                }
+                let partners = std::iter::once(r).chain(aliases);
+                env.add_aliases(lhs, partners.filter(|&x| !is_stale(&self.table, x)));
                 // Copy the rhs's tracked derived state onto the lhs's paths
                 // so facts like `r->next == undefined` survive.
                 for (rel, ty, ds, orig) in derived {
                     let mut cur = lhs;
                     for (i, step) in rel.iter().enumerate() {
-                        let t = if i == rel.len() - 1 { ty.clone() } else { None };
+                        let t = if i == rel.len() - 1 { ty.as_ref() } else { None };
                         cur = self.extend_ref(env, cur, *step, t);
                     }
                     env.set(cur, ds);
@@ -681,9 +679,8 @@ impl Checker<'_> {
         let value_def = new.def;
         let new_def = new.def;
         // Write through to everything naming the same location.
-        let st_for_loc = new.clone();
         for a in env.loc_aliases_of(lhs) {
-            env.set(a, st_for_loc.clone());
+            env.set(a, new);
         }
         env.set(lhs, new);
         self.degrade_ancestors(env, lhs, value_def);
@@ -705,7 +702,7 @@ impl Checker<'_> {
         let fields: Vec<(Symbol, QualType)> =
             self.scope.struct_def(id).fields.iter().map(|f| (f.name, f.ty.clone())).collect();
         for (fname, fty) in fields {
-            let _ = self.extend_ref(env, r, RefStep::Field(fname), Some(fty));
+            let _ = self.extend_ref(env, r, RefStep::Field(fname), Some(&fty));
         }
     }
 
@@ -1127,7 +1124,6 @@ impl Checker<'_> {
         span: Span,
     ) {
         let st = self.state_of(env, r);
-        let name = self.table.name(r);
         let observer =
             self.table.ty(r).map(|t| t.annots.exposure() == Some(ExposureAnnot::Observer))
                 == Some(true);
@@ -1137,6 +1133,7 @@ impl Checker<'_> {
                     return; // free(NULL) is allowed by the annotation.
                 }
                 if observer {
+                    let name = self.table.name(r);
                     self.report(Diagnostic::new(
                         DiagKind::ExposureViolation,
                         format!("Observer storage {name} passed as only param: {callee} ({name})"),
@@ -1147,6 +1144,7 @@ impl Checker<'_> {
                 if st.offset {
                     // §7: "errors involving incorrectly freeing storage
                     // resulting from pointer arithmetic".
+                    let name = self.table.name(r);
                     self.report(Diagnostic::new(
                         DiagKind::AllocMismatch,
                         format!(
@@ -1190,6 +1188,7 @@ impl Checker<'_> {
                             return;
                         }
                         let prefix = if explicit { "Temp" } else { "Implicitly temp" };
+                        let name = self.table.name(r);
                         let mut d = Diagnostic::new(
                             DiagKind::AllocMismatch,
                             format!(
@@ -1203,6 +1202,7 @@ impl Checker<'_> {
                         self.report(d);
                     }
                     AllocState::Kept => {
+                        let name = self.table.name(r);
                         self.report(Diagnostic::new(
                             DiagKind::AllocMismatch,
                             format!(
@@ -1213,6 +1213,7 @@ impl Checker<'_> {
                         ));
                     }
                     AllocState::Dependent | AllocState::Shared | AllocState::Static => {
+                        let name = self.table.name(r);
                         self.report(Diagnostic::new(
                             DiagKind::AllocMismatch,
                             format!(
@@ -1370,7 +1371,7 @@ impl Checker<'_> {
                     st.def = DefState::Defined;
                     self.storage_write(env, *r, st);
                     for d in self.table.derived_of(*r) {
-                        if let Some(mut ds) = env.get(d).cloned() {
+                        if let Some(mut ds) = env.get(d).copied() {
                             ds.def = DefState::Defined;
                             env.set(d, ds);
                         }

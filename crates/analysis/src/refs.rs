@@ -67,16 +67,6 @@ impl Path {
         steps.push(step);
         Path { base: self.base, steps }
     }
-
-    /// The parent path (one step shorter), if any.
-    pub fn parent(&self) -> Option<Path> {
-        if self.steps.is_empty() {
-            return None;
-        }
-        let mut steps = self.steps.clone();
-        steps.pop();
-        Some(Path { base: self.base, steps })
-    }
 }
 
 impl fmt::Display for Path {
@@ -102,7 +92,8 @@ impl fmt::Display for Path {
 ///
 /// Maintains a nearest-interned-ancestor index so [`RefTable::derived_of`]
 /// is proportional to the size of the answer, not the table (large
-/// functions intern tens of thousands of references).
+/// functions intern tens of thousands of references), and an exact-parent
+/// index so [`RefTable::parent`] is one read.
 #[derive(Debug, Default)]
 pub struct RefTable {
     paths: Vec<Path>,
@@ -110,6 +101,10 @@ pub struct RefTable {
     by_path: FxHashMap<Path, RefId>,
     /// ids whose *nearest interned ancestor* is this ref.
     children: Vec<Vec<RefId>>,
+    /// ids with steps but no interned ancestor at all.
+    orphans: Vec<RefId>,
+    /// The ref one step up, when interned.
+    parents: Vec<Option<RefId>>,
     next_temp: u32,
 }
 
@@ -125,42 +120,58 @@ impl RefTable {
             return *id;
         }
         let id = RefId(self.paths.len() as u32);
-        // Find the nearest already-interned ancestor and adopt any of its
-        // recorded descendants that this new path now sits between.
-        let mut adopted = Vec::new();
-        let mut ancestor = path.parent();
-        while let Some(ap) = ancestor {
-            if let Some(&aid) = self.by_path.get(&ap) {
-                let kids = &mut self.children[aid.0 as usize];
-                let mut i = 0;
-                while i < kids.len() {
-                    let kp = &self.paths[kids[i].0 as usize];
-                    if kp.base == path.base
-                        && kp.steps.len() > path.steps.len()
-                        && kp.steps[..path.steps.len()] == path.steps[..]
-                    {
-                        adopted.push(kids.swap_remove(i));
-                    } else {
-                        i += 1;
-                    }
-                }
-                kids.push(id);
+        // Find the nearest already-interned ancestor.
+        let mut ancestor = Path { base: path.base, steps: path.steps.clone() };
+        let mut nearest = None;
+        while ancestor.steps.pop().is_some() {
+            if let Some(&aid) = self.by_path.get(&ancestor) {
+                nearest = Some(aid);
                 break;
             }
-            ancestor = ap.parent();
+        }
+        let parent =
+            nearest.filter(|&a| self.paths[a.0 as usize].steps.len() + 1 == path.steps.len());
+        // Adopt the recorded descendants of that ancestor (or the orphans)
+        // that this new path now sits between; those one step below it get
+        // it as their parent.
+        let siblings = match nearest {
+            Some(aid) => &mut self.children[aid.0 as usize],
+            None => &mut self.orphans,
+        };
+        let mut adopted = Vec::new();
+        let mut i = 0;
+        while i < siblings.len() {
+            let kp = &self.paths[siblings[i].0 as usize];
+            if kp.base == path.base
+                && kp.steps.len() > path.steps.len()
+                && kp.steps[..path.steps.len()] == path.steps[..]
+            {
+                let kid = siblings.swap_remove(i);
+                if kp.steps.len() == path.steps.len() + 1 {
+                    self.parents[kid.0 as usize] = Some(id);
+                }
+                adopted.push(kid);
+            } else {
+                i += 1;
+            }
+        }
+        if nearest.is_some() || !path.steps.is_empty() {
+            siblings.push(id);
         }
         self.by_path.insert(path.clone(), id);
         self.paths.push(path);
         self.types.push(None);
         self.children.push(adopted);
+        self.parents.push(parent);
         id
     }
 
     /// Interns a path and records its type if not already known.
-    pub fn intern_typed(&mut self, path: Path, ty: QualType) -> RefId {
+    pub fn intern_typed(&mut self, path: Path, ty: &QualType) -> RefId {
         let id = self.intern(path);
-        if self.types[id.0 as usize].is_none() {
-            self.types[id.0 as usize] = Some(ty);
+        let slot = &mut self.types[id.0 as usize];
+        if slot.is_none() {
+            *slot = Some(ty.clone());
         }
         id
     }
@@ -219,7 +230,7 @@ impl RefTable {
 
     /// The parent reference (one step up), if interned.
     pub fn parent(&self, id: RefId) -> Option<RefId> {
-        self.paths[id.0 as usize].parent().and_then(|p| self.lookup(&p))
+        self.parents[id.0 as usize]
     }
 
     /// Iterates over all interned ids.
@@ -263,6 +274,25 @@ mod tests {
         assert!(!derived.contains(&other));
         assert_eq!(t.parent(lnn), Some(ln));
         assert_eq!(t.parent(l), None);
+    }
+
+    #[test]
+    fn parent_index_follows_ancestors_interned_later() {
+        let mut t = RefTable::new();
+        let l = Path::root(RefBase::Local("l".into()));
+        let ln = l.extended(RefStep::Field("next".into()));
+        let lnn = ln.extended(RefStep::Field("next".into()));
+        let nn = t.intern(lnn);
+        assert_eq!(t.parent(nn), None);
+        let root = t.intern(l);
+        assert_eq!(t.parent(nn), None, "l is not the exact parent of l->next->next");
+        assert_eq!(t.derived_of(root), vec![nn]);
+        let n = t.intern(ln);
+        assert_eq!(t.parent(nn), Some(n));
+        assert_eq!(t.parent(n), Some(root));
+        let mut derived = t.derived_of(root);
+        derived.sort();
+        assert_eq!(derived, vec![nn, n]);
     }
 
     #[test]
