@@ -205,16 +205,6 @@ impl RefTable {
         self.paths[id.0 as usize].to_string()
     }
 
-    /// Number of interned references.
-    pub fn len(&self) -> usize {
-        self.paths.len()
-    }
-
-    /// True when no references are interned.
-    pub fn is_empty(&self) -> bool {
-        self.paths.is_empty()
-    }
-
     /// All ids whose path strictly extends `base`'s path (derived storage).
     pub fn derived_of(&self, base: RefId) -> Vec<RefId> {
         let mut out = Vec::new();
@@ -231,11 +221,6 @@ impl RefTable {
     /// The parent reference (one step up), if interned.
     pub fn parent(&self, id: RefId) -> Option<RefId> {
         self.parents[id.0 as usize]
-    }
-
-    /// Iterates over all interned ids.
-    pub fn ids(&self) -> impl Iterator<Item = RefId> + '_ {
-        (0..self.paths.len() as u32).map(RefId)
     }
 }
 

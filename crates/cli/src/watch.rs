@@ -10,6 +10,7 @@
 //! scripts, after `RLCLINT_WATCH_CYCLES` polls.
 
 use lclint_core::{CheckResult, Session};
+use lclint_syntax::stats::{self, Counters};
 use std::io::Read;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -77,10 +78,6 @@ pub(crate) fn run_watch(
             }
         }
     }
-    let s = session.stats();
-    eprintln!(
-        "{prog}: watch done: {} rebuild(s), {} fast patch(es), {} no-op(s)",
-        s.rebuilds, s.fast_patches, s.no_ops
-    );
+    eprintln!("{prog}: watch done: {}", stats::text(session.stats().counters()));
     Ok(ExitCode::SUCCESS)
 }

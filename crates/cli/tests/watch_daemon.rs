@@ -106,6 +106,10 @@ fn watch_cycle_bound_exits_without_stdin_eof() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
+    // The summary is the session's whole counter listing.
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let done = stderr.lines().find(|l| l.contains("watch done")).unwrap();
+    assert!(done.contains(" swaps"), "{done}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

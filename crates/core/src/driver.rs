@@ -5,7 +5,7 @@
 
 use crate::annotate::{apply_annotations, PlacedAnnotation};
 use crate::flags::Flags;
-use crate::frontend::{collect_typedef_names, parse_roots};
+use crate::frontend::{collect_typedef_names, parse_roots, RootParse};
 use crate::incremental::IncrementalSession;
 use crate::render::RenderedDiagnostic;
 use crate::session::Session;
@@ -16,7 +16,6 @@ use lclint_analysis::{effective_jobs, infer_annotations, DiagKind, Diagnostic};
 use lclint_sema::Program;
 use lclint_syntax::ast::ArenaStats;
 use lclint_syntax::fx::FxHashSet;
-use lclint_syntax::lexer::ControlComment;
 use lclint_syntax::pp::{preprocess, BorrowedProvider};
 use lclint_syntax::span::{SourceMap, Span};
 use lclint_syntax::stable_hash::StableHasher;
@@ -116,20 +115,17 @@ pub fn peak_rss_bytes() -> Option<u64> {
 /// Everything one build of the program produces: the resolved tables plus
 /// the per-unit syntax needed for rendering and annotation write-back.
 ///
-/// The per-root records (`root_file_plans`, `root_controls`,
-/// `root_syntax_diags`, `typedef_prefix`, `def_counts`) let a warm
-/// [`Session`] re-derive exactly one root's contribution and splice it
-/// into the built program instead of rebuilding everything; the session
-/// keeps the whole value as its warm state.
+/// The per-root records ([`RootParse`]) let a warm [`Session`] re-derive
+/// exactly one root's contribution and splice it into the built program
+/// instead of rebuilding everything; the session keeps the whole value as
+/// its warm state.
 pub(crate) struct BuiltProgram {
     pub(crate) program: Program,
     pub(crate) sm: SourceMap,
-    /// Every parsed unit in load order; `root_start` indexes the first unit
-    /// belonging to `roots` (earlier ones are interface libraries). A root
-    /// that failed to lex or preprocess contributes an *empty* unit so the
-    /// `roots` indices stay aligned.
-    pub(crate) units: Vec<TranslationUnit>,
-    pub(crate) root_start: usize,
+    /// The interface libraries' units, in load order.
+    pub(crate) libraries: Vec<TranslationUnit>,
+    /// One record per root, in root order.
+    pub(crate) roots: Vec<RootParse>,
     /// Wall-clock milliseconds of the front end (preprocessing and
     /// parsing every unit) less `sema_ms`, which overlaps it; a session's
     /// patch overwrites it with the patch's own time.
@@ -142,38 +138,25 @@ pub(crate) struct BuiltProgram {
     /// Roots parsed twice (see [`SubstrateStats::typedef_reparses`]).
     pub(crate) typedef_reparses: usize,
     /// The stdlib's node-arena footprint (the units' share is recomputed
-    /// from `units`, which a session patches; the stdlib never changes).
+    /// from the units, which a session patches; the stdlib never changes).
     pub(crate) stdlib_arena: ArenaStats,
-    /// Source-map file ids registered while preprocessing each root, in
-    /// registration order (the replay plan for re-preprocessing that root).
-    pub(crate) root_file_plans: Vec<Vec<lclint_syntax::FileId>>,
-    /// Control comments contributed by each root.
-    pub(crate) root_controls: Vec<Vec<ControlComment>>,
     /// Build diagnostics that precede every root's (currently only the
-    /// stdlib-unavailable notice). Like `root_syntax_diags`, merged into
-    /// the check output so broken input degrades to messages instead of
-    /// aborting the run.
+    /// stdlib-unavailable notice). Like the roots' syntax diagnostics,
+    /// merged into the check output so broken input degrades to messages
+    /// instead of aborting the run.
     pub(crate) pre_root_diags: Vec<Diagnostic>,
-    /// Recovered parse / preprocess diagnostics per root.
-    pub(crate) root_syntax_diags: Vec<Vec<Diagnostic>>,
     /// Typedef names accumulated across units, in registration order.
     pub(crate) typedefs: Vec<Symbol>,
     /// The names of `typedefs` that precede every root (standard library
     /// and interface libraries): the set every root parse borrows.
     pub(crate) inherited: FxHashSet<String>,
-    /// Length of `typedefs` before each root's unit was parsed.
-    pub(crate) typedef_prefix: Vec<usize>,
-    /// `program.defs.len()` marks: `def_counts[0]` after the stdlib,
-    /// `def_counts[k + 1]` after `units[k]` — so unit `k` contributed the
-    /// definitions `def_counts[k]..def_counts[k + 1]`.
-    pub(crate) def_counts: Vec<usize>,
 }
 
 impl BuiltProgram {
     /// Node-arena footprint of the stdlib and every unit.
     pub(crate) fn arena_stats(&self) -> ArenaStats {
         let mut arena = self.stdlib_arena;
-        for u in &self.units {
+        for u in self.libraries.iter().chain(self.roots.iter().map(|r| &r.unit)) {
             arena.absorb(&u.arena.stats());
         }
         arena
@@ -398,7 +381,7 @@ impl Linter {
         join_teardown();
         let provider = BorrowedProvider::new(files);
         let mut sm = SourceMap::new();
-        let mut units: Vec<TranslationUnit> = Vec::new();
+        let mut libraries: Vec<TranslationUnit> = Vec::new();
         let mut pre_root_diags: Vec<Diagnostic> = Vec::new();
         // Typedef names accumulate across units so that interface libraries
         // (which carry type definitions like LCLint's .lcs files) make their
@@ -437,21 +420,21 @@ impl Linter {
         let mut inherited: FxHashSet<String> =
             typedefs.iter().map(|t| t.as_str().to_owned()).collect();
         // Sema runs on this thread as the units arrive: `extend_with` in
-        // load order (stdlib, libraries, roots) with a `def_counts` mark
-        // after each, `def_counts[0]` marking the stdlib even when it is
-        // absent. These are the calls a sema after the whole parse makes.
+        // load order (stdlib, libraries, roots), each call returning the
+        // definitions its unit added. These are the calls a sema after the
+        // whole parse makes.
         let mut program = Program::new();
-        let mut def_counts: Vec<usize> = Vec::with_capacity(1 + self.libraries.len() + roots.len());
         let mut sema_busy = std::time::Duration::ZERO;
-        let mut sema = |u: Option<&TranslationUnit>| {
+        let mut sema = |u: &TranslationUnit| {
             let start = std::time::Instant::now();
-            if let Some(u) = u {
-                program.extend_with(u);
-            }
-            def_counts.push(program.defs.len());
+            let first = program.defs.len();
+            program.extend_with(u);
             sema_busy += start.elapsed();
+            first..program.defs.len()
         };
-        sema(stdlib_unit);
+        if let Some(u) = stdlib_unit {
+            sema(u);
+        }
         // Interface libraries are trusted configuration, not checked input:
         // a broken library stays a hard error.
         for (name, text) in &self.libraries {
@@ -462,16 +445,12 @@ impl Linter {
             let names = collect_typedef_names(&tu);
             inherited.extend(names.iter().map(|t| t.as_str().to_owned()));
             typedefs.extend(names);
-            sema(Some(&tu));
-            units.push(tu);
+            sema(&tu);
+            libraries.push(tu);
         }
-        let root_start = units.len();
         let frontend_jobs = effective_jobs(jobs, roots.len());
-        let parsed =
-            parse_roots(roots, &provider, &mut sm, &inherited, &mut typedefs, frontend_jobs, |u| {
-                sema(Some(u))
-            });
-        units.extend(parsed.units);
+        let (root_parses, typedef_reparses) =
+            parse_roots(roots, &provider, &mut sm, &inherited, &mut typedefs, frontend_jobs, sema);
         // Sema ran inside the front end's wall time, on the committing
         // thread: the parse gets the rest.
         let sema_ms = sema_busy.as_secs_f64() * 1000.0;
@@ -481,21 +460,16 @@ impl Linter {
         Ok(BuiltProgram {
             program,
             sm,
-            units,
-            root_start,
+            libraries,
+            roots: root_parses,
             parse_ms,
             sema_ms,
             frontend_jobs,
-            typedef_reparses: parsed.typedef_reparses,
+            typedef_reparses,
             stdlib_arena,
-            root_file_plans: parsed.file_plans,
-            root_controls: parsed.controls,
             pre_root_diags,
-            root_syntax_diags: parsed.syntax_diags,
             typedefs,
             inherited,
-            typedef_prefix: parsed.typedef_prefix,
-            def_counts,
         })
     }
 
@@ -543,13 +517,13 @@ impl Linter {
         let mut diags: Vec<&Diagnostic> = diags
             .into_iter()
             .chain(&built.pre_root_diags)
-            .chain(built.root_syntax_diags.iter().flatten())
+            .chain(built.roots.iter().flat_map(|r| &r.syntax_diags))
             .filter(|d| self.flags.enabled(d.kind))
             .collect();
         diags.sort_by_key(|d| (d.span.file, d.span.start));
         let (diags, suppressed) = if self.flags.suppression_comments {
-            let controls: Vec<ControlComment> =
-                built.root_controls.iter().flatten().cloned().collect();
+            let controls: Vec<_> =
+                built.roots.iter().flat_map(|r| r.controls.iter().cloned()).collect();
             SuppressionSet::build(&controls, &sm).filter(diags, &sm, |d| d.span)
         } else {
             (diags, 0)
@@ -601,10 +575,11 @@ impl Linter {
         files: &[(String, String)],
         roots: &[String],
     ) -> Result<InferOutcome> {
-        let built = self.build_program(files, roots, self.flags.analysis.jobs)?;
+        let mut built = self.build_program(files, roots, self.flags.analysis.jobs)?;
         let result = infer_annotations(&built.program, &self.flags.analysis);
-        let root_units = &built.units[built.root_start..];
-        let applied = apply_annotations(root_units, &result.annots, &built.sm);
+        let root_units: Vec<TranslationUnit> =
+            std::mem::take(&mut built.roots).into_iter().map(|r| r.unit).collect();
+        let applied = apply_annotations(&root_units, &result.annots, &built.sm);
         let annotated = roots
             .iter()
             .zip(&applied.units)
@@ -646,7 +621,7 @@ mod tests {
     /// A handle on the first root's arena, alive while any of the build's
     /// units or definitions is.
     fn first_root_arena(built: &BuiltProgram) -> Weak<Ast> {
-        Arc::downgrade(&built.units[built.root_start].arena)
+        Arc::downgrade(&built.roots[0].unit.arena)
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! The front end of a build: preprocess and parse every root translation
 //! unit, on up to `jobs` worker threads, with output identical to one
-//! thread doing the roots in order.
+//! thread doing the roots in order. Each root comes out as one
+//! [`RootParse`]: the record a build keeps per root and a warm session's
+//! patch re-derives for one root through the same [`FrontEnd::parse`].
 //!
 //! Two things make the serial order observable, and both are kept:
 //!
@@ -9,8 +11,9 @@
 //!   its root into a fresh, root-local map and then *claims* ids in root
 //!   order: it waits until root `k - 1` has claimed, appends its files with
 //!   [`SourceMap::append`], and shifts every span it holds by the returned
-//!   base. Ids, per-root file plans and the diagnostic sort order come out
-//!   as in the serial run.
+//!   base. Ids, per-root file ranges and the diagnostic sort order come out
+//!   as in the serial run. A session's patch claims the ids its root
+//!   already holds instead, and swaps the local map's entries in at commit.
 //! - **Typedef names.** A serial parse of root `k` knows the typedefs of
 //!   every earlier root (`P_k`). A worker cannot wait for those, so it
 //!   parses *speculatively* against the inherited names only (built-ins,
@@ -28,37 +31,38 @@ use lclint_syntax::fx::FxHashSet;
 use lclint_syntax::lexer::ControlComment;
 use lclint_syntax::parser::{on_parse_stack, ParseOutcome, PARSE_STACK};
 use lclint_syntax::pp::{preprocess, BorrowedProvider};
-use lclint_syntax::span::{FileId, SourceMap};
+use lclint_syntax::span::SourceMap;
 use lclint_syntax::{Parser, Symbol, SyntaxError, TranslationUnit};
+use std::ops::Range;
 use std::sync::{Condvar, Mutex, MutexGuard};
 
-/// Every root's contribution, in root order.
-#[derive(Default)]
-pub(crate) struct Roots {
-    /// One unit per root; a root that failed to preprocess gets an empty
-    /// one so indices stay aligned.
-    pub(crate) units: Vec<TranslationUnit>,
-    /// File ids each root registered, in registration order.
-    pub(crate) file_plans: Vec<Vec<FileId>>,
-    /// Control comments each root contributed.
-    pub(crate) controls: Vec<Vec<ControlComment>>,
-    /// Recovered parse / preprocess diagnostics per root.
-    pub(crate) syntax_diags: Vec<Vec<Diagnostic>>,
-    /// Length of the run's typedef list before each root was committed.
-    pub(crate) typedef_prefix: Vec<usize>,
-    /// Roots whose speculative parse met an earlier root's typedef.
-    pub(crate) typedef_reparses: usize,
+/// One root's contribution to a build.
+pub(crate) struct RootParse {
+    /// The parsed unit; a root that failed to preprocess gets an empty one.
+    pub(crate) unit: TranslationUnit,
+    /// Ids of the files the root registered, in registration order.
+    pub(crate) files: Range<u32>,
+    /// Control comments the root contributed.
+    pub(crate) controls: Vec<ControlComment>,
+    /// Recovered parse / preprocess diagnostics.
+    pub(crate) syntax_diags: Vec<Diagnostic>,
+    /// Length of the run's typedef list before the root was committed.
+    pub(crate) typedef_prefix: usize,
+    /// The definitions the unit contributed: `program.defs[defs]`.
+    pub(crate) defs: Range<usize>,
 }
 
 /// Preprocesses and parses `roots` on `jobs` worker threads, registering
 /// their files in `sm` and appending the typedef names they declare to
 /// `typedefs`, exactly as a serial run in root order would. `inherited`
-/// holds every name `typedefs` held on entry.
+/// holds every name `typedefs` held on entry. Returns one record per root,
+/// in root order, and the number of typedef re-parses.
 ///
 /// The calling thread commits each root as soon as it and every earlier
 /// root have been parsed, and hands the committed unit to `on_unit`, so
 /// work on the units (sema) streams behind the workers instead of waiting
-/// for the last of them. `on_unit` sees the units in root order.
+/// for the last of them. `on_unit` sees the units in root order and
+/// returns the range of definitions each contributed.
 pub(crate) fn parse_roots(
     roots: &[String],
     provider: &BorrowedProvider<'_>,
@@ -66,15 +70,16 @@ pub(crate) fn parse_roots(
     inherited: &FxHashSet<String>,
     typedefs: &mut Vec<Symbol>,
     jobs: usize,
-    mut on_unit: impl FnMut(&TranslationUnit),
-) -> Roots {
+    mut on_unit: impl FnMut(&TranslationUnit) -> Range<usize>,
+) -> (Vec<RootParse>, usize) {
     let front = FrontEnd { provider, inherited };
     let claims = Claims {
         state: Mutex::new(ClaimState { next: 0, sm: std::mem::take(sm), abandoned: None }),
         turn: Condvar::new(),
     };
     let mut commit = Commit {
-        out: Roots::default(),
+        out: Vec::with_capacity(roots.len()),
+        typedef_reparses: 0,
         declared: FxHashSet::default(),
         inherited_len: typedefs.len(),
     };
@@ -84,21 +89,22 @@ pub(crate) fn parse_roots(
         front.parse(&roots[k], &[], |local| claims.claim(k, local), k > 0)
     };
     fan_out(jobs, "lclint-frontend", PARSE_STACK, roots.len(), work, |k, parsed| {
-        on_unit(commit.root(&roots[k], parsed, &front, typedefs));
+        let root = commit.root(&roots[k], parsed, &front, typedefs);
+        root.defs = on_unit(&root.unit);
     });
     *sm = claims.state.into_inner().unwrap_or_else(|e| e.into_inner()).sm;
-    commit.out
+    (commit.out, commit.typedef_reparses)
 }
 
 /// What the workers share: where files come from, and the inherited
 /// typedef names.
-struct FrontEnd<'a> {
-    provider: &'a BorrowedProvider<'a>,
-    inherited: &'a FxHashSet<String>,
+pub(crate) struct FrontEnd<'a> {
+    pub(crate) provider: &'a BorrowedProvider<'a>,
+    pub(crate) inherited: &'a FxHashSet<String>,
 }
 
 /// One root after preprocessing, claiming file ids and parsing.
-struct RootParse {
+pub(crate) struct Parsed {
     /// The id of the root's first file; `files` ids from here are its.
     base: u32,
     files: u32,
@@ -112,13 +118,13 @@ impl FrontEnd<'_> {
     /// the base of its ids, and parses the rebased tokens against the
     /// inherited names plus `extra`, recording the typedef misses when
     /// `speculative`. The calling thread must have a [`PARSE_STACK`] stack.
-    fn parse(
+    pub(crate) fn parse(
         &self,
         root: &str,
         extra: &[Symbol],
         claim: impl FnOnce(SourceMap) -> u32,
         speculative: bool,
-    ) -> RootParse {
+    ) -> Parsed {
         let mut local = SourceMap::new();
         let pp = preprocess(root, self.provider, &mut local);
         let files = local.len() as u32;
@@ -144,13 +150,37 @@ impl FrontEnd<'_> {
             }
             Err(e) => (Vec::new(), Err(SyntaxError { span: e.span.rebased(base), ..e })),
         };
-        RootParse { base, files, controls, outcome }
+        Parsed { base, files, controls, outcome }
+    }
+}
+
+impl Parsed {
+    /// The root's record, parsed after `typedef_prefix` typedefs of the
+    /// run; its definition range is the caller's to fill in.
+    pub(crate) fn into_root(self, typedef_prefix: usize) -> RootParse {
+        let (unit, syntax_diags) = match self.outcome {
+            Ok(p) => (p.unit, p.errors.into_iter().map(parse_error).collect()),
+            // Lexing or preprocessing failed — nothing survives from this
+            // root. Report it and keep the batch alive with an empty unit
+            // so the other roots are still checked.
+            Err(e) => (TranslationUnit::default(), vec![parse_error(e)]),
+        };
+        RootParse {
+            unit,
+            files: self.base..self.base + self.files,
+            controls: self.controls,
+            syntax_diags,
+            typedef_prefix,
+            defs: 0..0,
+        }
     }
 }
 
 /// The in-order commit of parsed roots.
 struct Commit {
-    out: Roots,
+    out: Vec<RootParse>,
+    /// Roots whose speculative parse met an earlier root's typedef.
+    typedef_reparses: usize,
     /// Typedef names declared by the roots committed so far (`P_k`).
     declared: FxHashSet<&'static str>,
     /// Length of the run's typedef list before the first root: the
@@ -162,41 +192,23 @@ impl Commit {
     fn root(
         &mut self,
         root: &str,
-        mut parsed: RootParse,
+        mut parsed: Parsed,
         front: &FrontEnd<'_>,
         typedefs: &mut Vec<Symbol>,
-    ) -> &TranslationUnit {
-        let out = &mut self.out;
-        out.typedef_prefix.push(typedefs.len());
-        let mut diags = Vec::new();
+    ) -> &mut RootParse {
         if let Ok(spec) = &parsed.outcome {
             if spec.misses.iter().any(|m| self.declared.contains(m.as_str())) {
                 let (base, earlier) = (parsed.base, &typedefs[self.inherited_len..]);
                 parsed = on_parse_stack(|| front.parse(root, earlier, |_| base, false));
-                out.typedef_reparses += 1;
+                self.typedef_reparses += 1;
             }
         }
-        let unit = match parsed.outcome {
-            Ok(p) => {
-                let names = collect_typedef_names(&p.unit);
-                self.declared.extend(names.iter().map(|n| n.as_str()));
-                typedefs.extend(names);
-                diags.extend(p.errors.into_iter().map(parse_error));
-                p.unit
-            }
-            // Lexing or preprocessing failed — nothing survives from this
-            // root. Report it and keep the batch alive with an empty unit
-            // so the other roots are still checked.
-            Err(e) => {
-                diags.push(parse_error(e));
-                TranslationUnit::default()
-            }
-        };
-        out.units.push(unit);
-        out.controls.push(parsed.controls);
-        out.syntax_diags.push(diags);
-        out.file_plans.push((parsed.base..parsed.base + parsed.files).map(FileId).collect());
-        out.units.last().expect("just pushed")
+        let committed = parsed.into_root(typedefs.len());
+        let names = collect_typedef_names(&committed.unit);
+        self.declared.extend(names.iter().map(|n| n.as_str()));
+        typedefs.extend(names);
+        self.out.push(committed);
+        self.out.last_mut().expect("just pushed")
     }
 }
 
@@ -285,6 +297,11 @@ mod tests {
     use crate::Linter;
     use lclint_syntax::span::{FileId, SourceMap};
 
+    /// Each root's file ids, in root order.
+    fn plans(built: &BuiltProgram) -> Vec<Vec<u32>> {
+        built.roots.iter().map(|r| r.files.clone().collect()).collect()
+    }
+
     /// Five roots covering every way the front end can go off the serial
     /// path: a typedef declared only by an earlier root, a header shared by
     /// two roots, a missing include, a recovered parse error in a middle
@@ -326,7 +343,7 @@ mod tests {
     }
 
     /// Everything observable about one run, for comparison across runs.
-    fn observed(r: &CheckResult, plans: &[Vec<FileId>]) -> String {
+    fn observed(r: &CheckResult, plans: &[Vec<u32>]) -> String {
         format!(
             "{}|{:?}|{}|{:?}|{:?}|{}",
             r.render(),
@@ -358,7 +375,7 @@ mod tests {
              \u{20}  broken.c:4: Storage r allocated\n\
              missing.c:1: Parse error: cannot open include file `nope.h`\n"
         );
-        assert_eq!(built.units[built.root_start + 3].items.len(), 0, "missing.c is empty");
+        assert_eq!(built.roots[3].unit.items.len(), 0, "missing.c is empty");
         // The shared header is registered once per including root.
         assert_eq!(
             names(&built.sm),
@@ -373,21 +390,19 @@ mod tests {
                 "last.c"
             ]
         );
-        let plans: Vec<Vec<u32>> =
-            built.root_file_plans.iter().map(|p| p.iter().map(|f| f.0).collect()).collect();
-        assert_eq!(plans, [vec![1, 2], vec![3, 4], vec![5], vec![6], vec![7]]);
-        let expected = observed(&serial, &built.root_file_plans);
+        assert_eq!(plans(&built), [vec![1, 2], vec![3, 4], vec![5], vec![6], vec![7]]);
+        let expected = observed(&serial, &plans(&built));
 
         for jobs in [2, 4] {
             let built = linter(jobs).build_program(&files, &roots, jobs).unwrap();
             let r = linter(jobs).check_files(&files, &roots).unwrap();
             assert_eq!(r.substrate.frontend_jobs, jobs);
-            assert_eq!(observed(&r, &built.root_file_plans), expected, "jobs {jobs}");
+            assert_eq!(observed(&r, &plans(&built)), expected, "jobs {jobs}");
         }
         for jobs in [1, 2, 4] {
             let mut s = Session::new(linter(jobs), files.clone(), roots.clone());
             let r = s.check(None).unwrap();
-            let plans = s.built().expect("warm state").root_file_plans.clone();
+            let plans = plans(s.built().expect("warm state"));
             assert_eq!(observed(&r, &plans), expected, "session, jobs {jobs}");
         }
     }

@@ -6,22 +6,19 @@
 //! new one, and one step picks how:
 //!
 //! * **no-op** — the text is unchanged, so the warm state is served as is;
-//! * **swap** — the root goes back to its canonical text after an overlay.
-//!   The overlay's patch parked what it replaced (the unit, its
-//!   definitions, control comments, source-map entries and registered
-//!   spans), and the swap puts that back with no preprocess, lex or parse;
-//! * **patch** — the root is re-preprocessed over a source-map replay (so
-//!   every file keeps its id) and re-parsed. When every declaration and
-//!   every function header has the same structural hash as before (see
-//!   [`declaration_hash`] and [`function_header_hash`]), only function
-//!   bodies and byte offsets changed, and the new unit is spliced into the
-//!   existing program without re-running semantic analysis;
+//! * **patch** — the root is parsed again by the front end's own per-root
+//!   parse, on the file ids it already holds, and *spliced* in: when every
+//!   declaration and function header keeps its structural hash (see
+//!   [`declaration_hash`] and [`function_header_hash`]), only bodies and
+//!   byte offsets changed, and semantic analysis is not re-run;
+//! * **swap** — the root goes back to its canonical text after an overlay:
+//!   the canonical parse the overlay's patch replaced is spliced back, with
+//!   no preprocess, lex or parse;
 //! * **rebuild** — anything else: a full cold build.
 //!
-//! A swap or a patch then re-probes, through the cache, the root's
-//! definitions, every definition elsewhere that resolved a name the root
-//! declares, and every unstable one; everything else reuses its previous
-//! per-definition diagnostics verbatim.
+//! A splice re-probes, through the cache, the root's definitions, every
+//! definition elsewhere that resolved a name the root declares, and every
+//! unstable one; everything else reuses its previous diagnostics verbatim.
 //!
 //! The invariant the fast paths preserve, and the tests assert, is
 //! **byte-identity**: for any sequence of edits, the session's rendered
@@ -36,16 +33,16 @@
 //! [`Program`]: lclint_sema::Program
 
 use crate::driver::{BuiltProgram, CheckResult, Linter};
+use crate::frontend::{FrontEnd, RootParse};
 use crate::incremental::IncrementalSession;
 use lclint_analysis::{check_definitions, AnalysisOptions, Diagnostic};
 use lclint_sema::{CheckedFunction, Program};
-use lclint_syntax::ast::{Item, TranslationUnit};
+use lclint_syntax::ast::Item;
 use lclint_syntax::fx::{FxHashMap, FxHashSet};
-use lclint_syntax::pp::{preprocess, BorrowedProvider};
-use lclint_syntax::span::{SourceFile, Span};
-use lclint_syntax::{
-    declaration_hash, function_header_hash, ControlComment, Parser, Result, Symbol,
-};
+use lclint_syntax::parser::on_parse_stack;
+use lclint_syntax::pp::BorrowedProvider;
+use lclint_syntax::span::{FileId, SourceMap, Span};
+use lclint_syntax::{declaration_hash, function_header_hash, Result, Symbol};
 use std::io;
 use std::ops::Range;
 use std::path::PathBuf;
@@ -54,7 +51,7 @@ use std::time::Instant;
 
 /// Everything a warm session holds between checks.
 struct State {
-    /// The last build, kept whole; a patch splices one root into it.
+    /// The last build, kept whole; a splice replaces one root's parse.
     built: BuiltProgram,
     /// Per-definition diagnostics from the last check, in definition order.
     def_diags: Vec<Vec<Diagnostic>>,
@@ -62,23 +59,24 @@ struct State {
     /// entry (degraded or unanchorable) — always re-checked.
     unstable: FxHashSet<Symbol>,
     check_ms: f64,
-    /// The overlaid root's canonical state, while an overlay is loaded.
-    parked: Option<Parked>,
 }
 
-/// What an overlay patch replaced on canonical state: everything a patch
-/// changes in a build, so a swap can put it back without re-parsing.
-struct Parked {
-    root_idx: usize,
-    unit: TranslationUnit,
-    /// The unit's definitions, `def_counts[unit]..def_counts[unit + 1]`.
-    defs: Vec<CheckedFunction>,
-    controls: Vec<ControlComment>,
-    /// Source-map entries of the root's file plan, in plan order.
-    files: Vec<Arc<SourceFile>>,
-    /// `(name, global span, function span)` as registered for every name
-    /// the root declares.
-    spans: Vec<(Symbol, Option<Span>, Option<Span>)>,
+/// One parse of a root outside the build: what a splice puts in, and what
+/// it hands back in exchange.
+struct Detached {
+    root: RootParse,
+    /// The source-map entries of `root.files`, in order.
+    entries: SourceMap,
+}
+
+/// A request-scoped text the warm state reflects instead of a file's
+/// canonical one.
+struct Overlay {
+    name: String,
+    text: String,
+    /// The canonical parse the overlay's patch replaced; `None` when the
+    /// overlay was reached by a rebuild.
+    canonical: Option<Detached>,
 }
 
 lclint_syntax::counters! {
@@ -91,7 +89,7 @@ lclint_syntax::counters! {
         fast_patches: usize,
         /// Edits whose text was unchanged (served from memory).
         no_ops: usize,
-        /// Overlays undone by swapping the parked canonical state back.
+        /// Overlays undone by splicing the kept canonical parse back.
         swaps: usize,
         /// Cached per-function entries currently held.
         cache_entries: usize,
@@ -127,11 +125,11 @@ pub struct Session {
     roots: Vec<String>,
     inc: IncrementalSession,
     state: Option<State>,
-    /// `(name, text)` of a lazily-kept overlay: the warm state reflects
-    /// `text` for `name` instead of the canonical entry in `files`. The
-    /// next request that needs canonical state restores it on demand, so
-    /// an overlay storm on one file costs a single patch per request.
-    loaded: Option<(String, String)>,
+    /// A lazily-kept overlay: the warm state reflects its text instead of
+    /// the canonical entry in `files`. The next request that needs
+    /// canonical state restores it on demand, so an overlay storm on one
+    /// file costs a single patch per request.
+    overlay: Option<Overlay>,
     /// The serving counters; [`Session::stats`] fills in the footprint.
     served: SessionStats,
 }
@@ -145,7 +143,7 @@ impl Session {
             roots,
             inc: IncrementalSession::in_memory(),
             state: None,
-            loaded: None,
+            overlay: None,
             served: SessionStats::default(),
         }
     }
@@ -240,7 +238,7 @@ impl Session {
             let result = self.did_change(name, text, jobs)?;
             self.files.retain(|(n, _)| n != name);
             self.state = None;
-            self.loaded = None;
+            self.overlay = None;
             return Ok(result);
         }
         self.move_root(name, text, true, jobs)?;
@@ -250,10 +248,7 @@ impl Session {
     /// Undoes a lazily-loaded overlay: moves its file back to the
     /// canonical text.
     fn restore_canonical(&mut self, jobs: Option<usize>) -> Result<()> {
-        let Some((name, _)) = &self.loaded else {
-            return Ok(());
-        };
-        let name = name.clone();
+        let Some(name) = self.overlay.as_ref().map(|o| o.name.clone()) else { return Ok(()) };
         let canonical = self.file_text(&name).expect("an overlay is registered").to_owned();
         self.move_root(&name, &canonical, false, jobs)
     }
@@ -265,17 +260,15 @@ impl Session {
     /// * a rebuild of canonical state when there is no warm state (an
     ///   overlay then moves on from it);
     /// * a no-op when the text is unchanged;
-    /// * for a return to unchanged canonical text, a swap with the parked
-    ///   state, or a rebuild when nothing is parked: the patch gate is
-    ///   symmetric, so a patch that refused canonical→overlay would refuse
-    ///   the way back too;
-    /// * a patch, parking what it replaced when it moves canonical state to
-    ///   an overlay;
-    /// * a rebuild when the patch gate refuses.
+    /// * for a return to canonical text, a swap, or a rebuild when nothing
+    ///   was kept: the gate is symmetric, so a patch that refused
+    ///   canonical→overlay would refuse the way back too;
+    /// * a patch, or a rebuild when the gate refuses.
     ///
-    /// A parked state is dropped when its root's canonical text changes and
-    /// with every rebuild. A failed rebuild leaves no warm state and no
-    /// overlay, so the next request rebuilds from canonical text.
+    /// The loaded overlay, with the canonical parse it keeps, is taken on
+    /// entry and put back only if `name` stays overlaid, so a change of
+    /// canonical text drops it. A failed rebuild leaves no warm state and
+    /// no overlay, so the next request rebuilds from canonical text.
     fn move_root(
         &mut self,
         name: &str,
@@ -285,69 +278,74 @@ impl Session {
     ) -> Result<()> {
         // Another file's overlay is undone first, so the warm state
         // reflects canonical text everywhere but `name`.
-        if self.loaded.as_ref().is_some_and(|(n, _)| n != name) {
+        if self.overlay.as_ref().is_some_and(|o| o.name != name) {
             self.restore_canonical(jobs)?;
         }
-        let loaded = self.loaded.take();
+        let loaded = self.overlay.take();
         let pos = self.files.iter().position(|(n, _)| n == name);
         let is_canonical = pos.is_some_and(|i| self.files[i].1 == to);
-        let unchanged = match &loaded {
-            Some((_, text)) => text == to,
-            None => is_canonical,
-        };
-        let restoring = loaded.is_some() && is_canonical;
-        let from_canonical = loaded.is_none();
         if !overlay && !is_canonical {
-            // The canonical text changes: a parked state no longer matches.
-            if let Some(st) = &mut self.state {
-                st.parked = None;
-            }
             match pos {
                 Some(i) => self.files[i].1 = to.to_owned(),
                 None => self.files.push((name.to_owned(), to.to_owned())),
             }
         }
-        let target = (overlay && !is_canonical).then(|| (name.to_owned(), to.to_owned()));
+        let unchanged = loaded.as_ref().map_or(is_canonical, |o| o.text == to);
 
-        if self.state.is_none() {
+        let canonical = if self.state.is_none() {
             self.rebuild(jobs)?;
-            if target.is_some() {
-                self.patch_or_rebuild(name, to, true, jobs)?;
+            if overlay && !is_canonical {
+                self.patch_or_rebuild(name, to, jobs)?
+            } else {
+                None
             }
         } else if unchanged {
             self.served.no_ops += 1;
-        } else if restoring {
-            match self.state.as_mut().and_then(|st| st.parked.take()) {
-                Some(parked) => self.swap(parked, jobs),
+            loaded.and_then(|o| o.canonical)
+        } else if is_canonical && loaded.is_some() {
+            let kept = loaded.and_then(|o| o.canonical);
+            match kept.and_then(|c| self.splice(name, c, Instant::now(), jobs)) {
+                Some(_) => self.served.swaps += 1,
                 None => self.rebuild(jobs)?,
             }
+            None
         } else if pos.is_none() {
             self.rebuild(jobs)?;
+            None
         } else {
-            self.patch_or_rebuild(name, to, overlay && from_canonical, jobs)?;
+            // A patch from canonical text keeps what it replaced; one from
+            // another overlay keeps that overlay's canonical parse.
+            match (self.patch_or_rebuild(name, to, jobs)?, loaded) {
+                (Some(replaced), None) => Some(replaced),
+                (Some(_), Some(from)) => from.canonical,
+                (None, _) => None,
+            }
+        };
+        if overlay && !is_canonical {
+            let (name, text) = (name.to_owned(), to.to_owned());
+            self.overlay = Some(Overlay { name, text, canonical });
         }
-        self.loaded = target;
         Ok(())
     }
 
     /// Patches `name` to `text`, or rebuilds with `text` in place of its
-    /// canonical entry when the gate refuses. `park` keeps what the patch
-    /// replaced for a later swap.
+    /// canonical entry when the gate refuses. Returns the parse a patch
+    /// replaced.
     fn patch_or_rebuild(
         &mut self,
         name: &str,
         text: &str,
-        park: bool,
         jobs: Option<usize>,
-    ) -> Result<()> {
-        if self.try_patch(name, text, park, jobs) {
-            return Ok(());
+    ) -> Result<Option<Detached>> {
+        if let Some(replaced) = self.try_patch(name, text, jobs) {
+            self.served.fast_patches += 1;
+            return Ok(Some(replaced));
         }
         let pos = self.files.iter().position(|(n, _)| n == name).expect("file is registered");
         let saved = std::mem::replace(&mut self.files[pos].1, text.to_owned());
         let built = self.rebuild(jobs);
         self.files[pos].1 = saved;
-        built
+        built.map(|()| None)
     }
 
     /// Serving counters plus substrate footprint (interner, arenas, cache).
@@ -378,76 +376,69 @@ impl Session {
     fn rebuild(&mut self, jobs: Option<usize>) -> Result<()> {
         self.served.rebuilds += 1;
         self.state = None;
-        self.loaded = None;
+        self.overlay = None;
         self.state =
             Some(State::cold(&self.linter, Some(&mut self.inc), &self.files, &self.roots, jobs)?);
         Ok(())
     }
 
-    /// The patch fast path: moves root `name` to `text`. Returns `false`
-    /// when `name` is not a root or any precondition fails (the caller
-    /// then rebuilds); `true` when the edit was spliced in and the dirty
-    /// definitions re-checked. With `park`, what the patch replaced is
-    /// kept in the state for [`Session::swap`].
-    fn try_patch(&mut self, name: &str, text: &str, park: bool, jobs: Option<usize>) -> bool {
-        let Some(root_idx) = self.roots.iter().position(|r| r == name) else {
-            return false;
-        };
-        let parse_start = Instant::now();
-        let st = self.state.as_mut().expect("try_patch requires warm state");
-        let bp = &mut st.built;
-        // Preconditions on the previous build of this root: it must have
-        // parsed cleanly (a partial unit cannot be paired) and contributed
-        // no semantic errors (their spans would go stale).
-        if !bp.root_syntax_diags[root_idx].is_empty() {
-            return false;
-        }
-        let plan = bp.root_file_plans[root_idx].clone();
-        if plan.is_empty() || bp.program.errors.iter().any(|e| plan.contains(&e.span.file)) {
-            return false;
-        }
-
-        // Re-preprocess the root over a replay: every file it registers
-        // must line up with the old plan (same names, same order) so all
-        // ids — and therefore every other unit's spans — stay valid.
-        let old_files = park.then(|| bp.sm.entries(&plan));
-        let mut provider = BorrowedProvider::new(&self.files);
+    /// The patch fast path: parses root `name` as `text` and splices the
+    /// parse in. Returns the parse it replaced, or `None` when `name` is
+    /// not a root or any precondition fails (the caller then rebuilds).
+    fn try_patch(&mut self, name: &str, text: &str, jobs: Option<usize>) -> Option<Detached> {
+        let start = Instant::now();
+        let bp = &self.state.as_ref().expect("try_patch requires warm state").built;
+        let old = &bp.roots[self.roots.iter().position(|r| r == name)?];
         // `text` wins over the canonical entry: overlay patches check a
         // text the canonical file set does not hold.
+        let mut provider = BorrowedProvider::new(&self.files);
         provider.insert(name, text);
-        bp.sm.begin_replay(plan);
-        let out = preprocess(name, &provider, &mut bp.sm);
-        // On failure the map may hold partially replayed texts; the caller
-        // rebuilds with a fresh map.
-        if !bp.sm.end_replay() {
-            return false;
-        }
-        let Ok(out) = out else {
-            return false;
+        let front = FrontEnd { provider: &provider, inherited: &bp.inherited };
+        // The parse claims the root's own ids, but only when it registers
+        // the same file names in the same order, so every other unit's
+        // spans stay valid. The shared map is not written until the splice.
+        let mut entries = None;
+        let claim = |local: SourceMap| {
+            let base = old.files.start;
+            let renamed = |i: u32| bp.sm.name(FileId(base + i)) != local.name(FileId(i));
+            if local.len() == old.files.len() && !(0..local.len() as u32).any(renamed) {
+                entries = Some(local);
+            }
+            base
         };
+        // Exactly the typedef context the old build used: the borrowed
+        // inherited names plus the typedefs of earlier roots.
+        let earlier = &bp.typedefs[bp.roots[0].typedef_prefix..old.typedef_prefix];
+        let parsed = on_parse_stack(|| front.parse(name, earlier, claim, false));
+        let root = RootParse { defs: old.defs.clone(), ..parsed.into_root(old.typedef_prefix) };
+        self.splice(name, Detached { root, entries: entries? }, start, jobs)
+    }
 
-        // Re-parse with exactly the typedef context the old build used:
-        // the borrowed inherited names plus the typedefs of earlier roots
-        // (`typedef_prefix[0]` is where the roots' entries start).
-        let mut parser = Parser::with_inherited(out.tokens, &bp.inherited);
-        for t in &bp.typedefs[bp.typedef_prefix[0]..bp.typedef_prefix[root_idx]] {
-            parser.add_typedef(t.as_str());
-        }
-        let (new_tu, errors) = parser.parse_translation_unit_recovering();
-        if !errors.is_empty() {
-            return false;
-        }
-
-        // The gate: items pair up one to one, every declaration keeps its
+    /// Splices `new`, a parse of root `name`, into the warm state in place
+    /// of the root's current parse, then re-probes. Returns the parse it
+    /// replaced, or `None` when the gate refuses, with the state untouched.
+    fn splice(
+        &mut self,
+        name: &str,
+        new: Detached,
+        start: Instant,
+        jobs: Option<usize>,
+    ) -> Option<Detached> {
+        let k = self.roots.iter().position(|r| r == name)?;
+        let bp = &mut self.state.as_mut().expect("splice requires warm state").built;
+        // The gate: both parses are clean (a partial unit cannot be paired),
+        // the root contributed no semantic errors (their spans would go
+        // stale), items pair up one to one, every declaration keeps its
         // structural hash and every function definition keeps its header's
         // — so the only semantic deltas are function bodies, and the only
         // table deltas are spans.
-        let unit_idx = bp.root_start + root_idx;
-        let old_tu = &bp.units[unit_idx];
-        if old_tu.items.len() != new_tu.items.len() {
-            return false;
+        let old = &bp.roots[k];
+        if [old, &new.root].iter().any(|r| !r.syntax_diags.is_empty())
+            || bp.program.errors.iter().any(|e| old.files.contains(&e.span.file.0))
+        {
+            return None;
         }
-        let def_range = bp.def_counts[unit_idx]..bp.def_counts[unit_idx + 1];
+        let (old_tu, new_tu, defs) = (&old.unit, &new.root.unit, old.defs.clone());
         // (name, old span, new span) for relocation.
         let mut reloc: Vec<(Symbol, Span, Span)> = Vec::new();
         let mut new_defs: Vec<&lclint_syntax::ast::FunctionDef> = Vec::new();
@@ -457,7 +448,7 @@ impl Session {
                     let od = old_tu.arena.decl(*od);
                     let nd = new_tu.arena.decl(*nd);
                     if declaration_hash(&old_tu.arena, od) != declaration_hash(&new_tu.arena, nd) {
-                        return false;
+                        return None;
                     }
                     for (oi, ni) in od.declarators.iter().zip(&nd.declarators) {
                         if let Some(name) = oi.declarator.name {
@@ -469,83 +460,77 @@ impl Session {
                     if function_header_hash(&old_tu.arena, of)
                         != function_header_hash(&new_tu.arena, nf)
                     {
-                        return false;
+                        return None;
                     }
                     new_defs.push(nf);
                 }
-                _ => return false,
+                _ => return None,
             }
         }
-        if def_range.len() != new_defs.len() {
-            return false;
-        }
-        for (i, nf) in def_range.clone().zip(&new_defs) {
-            let sig = &bp.program.defs[i].sig;
-            reloc.push((sig.name, sig.span, nf.span));
+        if old_tu.items.len() != new_tu.items.len() || defs.len() != new_defs.len() {
+            return None;
         }
 
-        // Commit: splice the new unit in. Every definition in the unit gets
-        // its old (merged) signature with the new span, the new header AST,
-        // and the new arena; names declared here get their registered spans
-        // relocated.
-        let exports: FxHashSet<Symbol> = reloc.iter().map(|&(name, ..)| name).collect();
-        let spans = park.then(|| {
-            let p = &bp.program;
-            let span_of =
-                |n| (n, p.globals.get(&n).map(|g| g.span), p.functions.get(&n).map(|f| f.span));
-            exports.iter().map(|&n| span_of(n)).collect()
-        });
-        relocate(&mut bp.program, &reloc);
-        let mut old_defs = Vec::with_capacity(new_defs.len());
-        for (i, nf) in def_range.clone().zip(&new_defs) {
+        // Commit: every definition in the unit gets its old (merged)
+        // signature with the new span, the new header AST, and the new
+        // arena; names declared here get their registered spans relocated;
+        // the root's record and source-map entries are exchanged.
+        for (i, nf) in defs.clone().zip(&new_defs) {
             let mut sig = bp.program.defs[i].sig.clone();
-            sig.span = nf.span;
-            let new = CheckedFunction { sig, ast: (*nf).clone(), arena: Arc::clone(&new_tu.arena) };
-            old_defs.push(std::mem::replace(&mut bp.program.defs[i], new));
+            reloc.push((sig.name, std::mem::replace(&mut sig.span, nf.span), nf.span));
+            bp.program.defs[i] =
+                CheckedFunction { sig, ast: (*nf).clone(), arena: Arc::clone(&new_tu.arena) };
         }
-        let controls = std::mem::replace(&mut bp.root_controls[root_idx], out.controls);
-        let unit = std::mem::replace(&mut bp.units[unit_idx], new_tu);
-        if let (Some(files), Some(spans)) = (old_files, spans) {
-            st.parked = Some(Parked { root_idx, unit, defs: old_defs, controls, files, spans });
-        }
-        st.built.parse_ms = parse_start.elapsed().as_secs_f64() * 1000.0;
-        st.built.sema_ms = 0.0;
-        let opts = opts(&self.linter, jobs);
-        st.reprobe(&mut self.inc, &opts, self.linter.library_digest(), def_range, &exports);
-        self.served.fast_patches += 1;
-        true
-    }
-
-    /// Puts a parked canonical state back in place of the overlay that
-    /// replaced it, then re-probes the same dirty set a patch would.
-    fn swap(&mut self, parked: Parked, jobs: Option<usize>) {
-        let start = Instant::now();
-        let st = self.state.as_mut().expect("swap requires warm state");
-        let bp = &mut st.built;
-        let Parked { root_idx, unit, defs, controls, files, spans } = parked;
-        let unit_idx = bp.root_start + root_idx;
-        let def_range = bp.def_counts[unit_idx]..bp.def_counts[unit_idx + 1];
-        bp.units[unit_idx] = unit;
-        for (slot, def) in bp.program.defs[def_range.clone()].iter_mut().zip(defs) {
-            *slot = def;
-        }
-        bp.root_controls[root_idx] = controls;
-        bp.sm.put_entries(&bp.root_file_plans[root_idx], files);
-        let mut exports = FxHashSet::default();
-        for (name, global, function) in spans {
-            exports.insert(name);
-            if let (Some(g), Some(span)) = (bp.program.globals.get_mut(&name), global) {
-                g.span = span;
-            }
-            if let (Some(f), Some(span)) = (bp.program.functions.get_mut(&name), function) {
-                f.span = span;
-            }
-        }
+        let exports: FxHashSet<Symbol> = reloc.iter().map(|&(name, ..)| name).collect();
+        relocate(&mut bp.program, &reloc);
+        let Detached { root, entries } = new;
+        let entries = bp.sm.put_entries(FileId(root.files.start), entries);
+        let root = std::mem::replace(&mut bp.roots[k], root);
         bp.parse_ms = start.elapsed().as_secs_f64() * 1000.0;
         bp.sema_ms = 0.0;
+        self.reprobe(defs, &exports, jobs);
+        Some(Detached { root, entries })
+    }
+
+    /// Re-checks, through the cache, what a splice of the unit that holds
+    /// the definitions `spliced` can have changed: its own definitions (their spans
+    /// moved), every definition elsewhere that resolved a name in `exports`
+    /// (its cached notes may anchor on the moved spans), and everything
+    /// whose last result was unstable. Clean definitions are provably
+    /// bit-identical: their fingerprints are span-free and none of their
+    /// anchors moved.
+    fn reprobe(&mut self, spliced: Range<usize>, exports: &FxHashSet<Symbol>, jobs: Option<usize>) {
+        let (st, inc) = (self.state.as_mut().expect("reprobe requires warm state"), &mut self.inc);
+        let defs = &st.built.program.defs;
+        let mut dirty: Vec<usize> = spliced.clone().collect();
+        for (i, def) in defs.iter().enumerate() {
+            if spliced.contains(&i) {
+                continue;
+            }
+            let name = def.sig.name;
+            let touched = st.unstable.contains(&name)
+                || inc.cache.entry(name).is_none_or(|e| {
+                    e.deps.functions.iter().chain(&e.deps.globals).any(|n| exports.contains(n))
+                });
+            if touched {
+                dirty.push(i);
+            }
+        }
+        dirty.sort_unstable();
+
+        let check_start = Instant::now();
+        let mut slots: Vec<Option<Vec<Diagnostic>>> = vec![None; defs.len()];
         let opts = opts(&self.linter, jobs);
-        st.reprobe(&mut self.inc, &opts, self.linter.library_digest(), def_range, &exports);
-        self.served.swaps += 1;
+        let lib = self.linter.library_digest();
+        let unstable_idx = inc.check(&st.built.program, &opts, lib, &dirty, &mut slots);
+        st.check_ms = check_start.elapsed().as_secs_f64() * 1000.0;
+        for &i in &dirty {
+            st.def_diags[i] = slots[i].take().unwrap_or_default();
+            st.unstable.remove(&defs[i].sig.name);
+        }
+        for &i in &unstable_idx {
+            st.unstable.insert(defs[i].sig.name);
+        }
     }
 
     /// Builds a [`CheckResult`] from the warm state through the batch
@@ -607,52 +592,7 @@ impl State {
         let check_ms = check_start.elapsed().as_secs_f64() * 1000.0;
         let unstable = unstable_idx.iter().map(|&i| defs[i].sig.name).collect();
         let def_diags = slots.into_iter().map(|s| s.unwrap_or_default()).collect();
-        Ok(State { built, def_diags, unstable, check_ms, parked: None })
-    }
-
-    /// Re-checks, through the cache, what a swap or patch of the unit that
-    /// holds `def_range` can have changed: its own definitions (their spans
-    /// moved), every definition elsewhere that resolved a name in `exports`
-    /// (its cached notes may anchor on the moved spans), and everything
-    /// whose last result was unstable. Clean definitions are provably
-    /// bit-identical: their fingerprints are span-free and none of their
-    /// anchors moved.
-    fn reprobe(
-        &mut self,
-        inc: &mut IncrementalSession,
-        opts: &AnalysisOptions,
-        lib: u64,
-        def_range: Range<usize>,
-        exports: &FxHashSet<Symbol>,
-    ) {
-        let defs = &self.built.program.defs;
-        let mut dirty: Vec<usize> = def_range.clone().collect();
-        for (i, def) in defs.iter().enumerate() {
-            if def_range.contains(&i) {
-                continue;
-            }
-            let name = def.sig.name;
-            let touched = self.unstable.contains(&name)
-                || inc.cache.entry(name).is_none_or(|e| {
-                    e.deps.functions.iter().chain(&e.deps.globals).any(|n| exports.contains(n))
-                });
-            if touched {
-                dirty.push(i);
-            }
-        }
-        dirty.sort_unstable();
-
-        let check_start = Instant::now();
-        let mut slots: Vec<Option<Vec<Diagnostic>>> = vec![None; defs.len()];
-        let unstable_idx = inc.check(&self.built.program, opts, lib, &dirty, &mut slots);
-        self.check_ms = check_start.elapsed().as_secs_f64() * 1000.0;
-        for &i in &dirty {
-            self.def_diags[i] = slots[i].take().unwrap_or_default();
-            self.unstable.remove(&defs[i].sig.name);
-        }
-        for &i in &unstable_idx {
-            self.unstable.insert(defs[i].sig.name);
-        }
+        Ok(State { built, def_diags, unstable, check_ms })
     }
 }
 
@@ -945,7 +885,7 @@ mod tests {
         let st = s.stats();
         assert_eq!((st.rebuilds, st.fast_patches, st.swaps), (1, 3, 1), "{st:?}");
         assert_eq!(
-            s.built().unwrap().sm.text(s.built().unwrap().root_file_plans[0][0]),
+            s.built().unwrap().sm.text(FileId(s.built().unwrap().roots[0].files.start)),
             files[0].1
         );
     }

@@ -7,8 +7,8 @@
 //! branch of the session's step: a body edit, a body-only `#define` edit, a
 //! signature edit, a declaration edit, a `#define` edit that changes a
 //! function header, a new typedef and a local of that type in the next
-//! root's body, a header edit, a parse error and its fix, a revert to
-//! canonical text, and a no-op.
+//! root's body, a move of a root to another include list, a header edit,
+//! a parse error and its fix, a revert to canonical text, and a no-op.
 //!
 //! Two oracles per step:
 //! - the response renders byte-identical to a cold `check_files` of the
@@ -23,6 +23,10 @@ use lclint_core::{CheckResult, Flags, Linter, Session, SessionStats};
 use lclint_syntax::rng::SplitMix64;
 
 const HEADER: &str = "shared.h";
+/// A second header a root may include after [`HEADER`].
+const EXTRA: &str = "extra.h";
+/// A header of another name whose text is [`HEADER`]'s first version.
+const TWIN: &str = "twin.h";
 /// A file no root includes: overlaying it registers it for one request.
 const STRAY: &str = "stray.h";
 const MARK: &str = "/*MUTATION-POINT*/";
@@ -47,6 +51,11 @@ const STMTS: [&str; 7] = [
 /// Declarations of `shared_make` in the header.
 const HEADERS: [&str; 2] =
     ["extern /*@only@*/ char *shared_make(int n);", "extern char *shared_make(int n);"];
+/// The include lists a root cycles through. Each move changes the files
+/// the root registers: one more, then one fewer under another name, then
+/// as many under another name with the same text, which only the
+/// file-name check refuses. The model predicts a rebuild for every move.
+const INCLUDES: [&[&str]; 3] = [&[HEADER], &[HEADER, EXTRA], &[TWIN]];
 
 /// One root's text, as the parts an edit changes.
 #[derive(Clone, Debug, PartialEq)]
@@ -65,6 +74,8 @@ struct Root {
     /// Statements inserted before each of the two mutation points.
     body: [Vec<usize>; 2],
     broken: bool,
+    /// Index into [`INCLUDES`].
+    includes: usize,
 }
 
 impl Root {
@@ -82,8 +93,10 @@ impl Root {
         let typedef = if self.typedef { format!("typedef int t_{k};\n") } else { String::new() };
         let local =
             if self.uses_typedef { format!("  t_{prev} tv_{k} = 0;\n") } else { String::new() };
+        let includes: String =
+            INCLUDES[self.includes].iter().map(|h| format!("#include \"{h}\"\n")).collect();
         format!(
-            "#include \"{HEADER}\"\n\
+            "{includes}\
              #define ARG_{k} {arg}\n\
              #define STEP_{k} {step}\n\
              {decl}\n\
@@ -103,8 +116,8 @@ impl Root {
     /// Whether only bodies (or macros used only in bodies) differ between
     /// two texts of the root: the patch gate's item pairing.
     fn same_items(&self, other: &Root) -> bool {
-        (self.arg, self.sig, self.decl, self.typedef)
-            == (other.arg, other.sig, other.decl, other.typedef)
+        (self.arg, self.sig, self.decl, self.typedef, self.includes)
+            == (other.arg, other.sig, other.decl, other.typedef, other.includes)
     }
 }
 
@@ -113,6 +126,8 @@ enum Doc {
     Header(usize),
     Root(Root),
     Stray,
+    Extra,
+    Twin,
 }
 
 impl Doc {
@@ -125,6 +140,8 @@ impl Doc {
             }
             Doc::Root(r) => r.text(),
             Doc::Stray => "extern int stray_value;\n".to_owned(),
+            Doc::Extra => "extern int extra_value;\n".to_owned(),
+            Doc::Twin => Doc::Header(0).text(roots),
         }
     }
 }
@@ -169,9 +186,12 @@ impl Model {
                 uses_typedef: false,
                 body: [Vec::new(), Vec::new()],
                 broken: false,
+                includes: 0,
             }));
         }
         let root_names = names[1..].to_vec();
+        names.extend([EXTRA.to_owned(), TWIN.to_owned()]);
+        canonical.extend([Doc::Extra, Doc::Twin]);
         Model {
             names,
             roots: root_names,
@@ -291,7 +311,7 @@ impl Model {
         let mut r = match base {
             Doc::Header(v) => return (Doc::Header(1 - v), "header edit"),
             Doc::Root(r) => r.clone(),
-            Doc::Stray => unreachable!("the stray file is never edited"),
+            _ => unreachable!("only the shared header and the roots are edited"),
         };
         if r.broken && rng.below(4) != 0 {
             r.broken = false;
@@ -324,6 +344,10 @@ impl Model {
             7 => {
                 r.arg = 1 - r.arg;
                 "#define edit used in a function header"
+            }
+            9 => {
+                r.includes = (r.includes + 1) % INCLUDES.len();
+                "move to another include list"
             }
             10 if r.k > 0 => {
                 r.uses_typedef = !r.uses_typedef;

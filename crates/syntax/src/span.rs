@@ -154,18 +154,6 @@ impl SourceFile {
 #[derive(Debug, Default, Clone)]
 pub struct SourceMap {
     files: Vec<Arc<SourceFile>>,
-    /// Active replay plan (see [`SourceMap::begin_replay`]).
-    replay: Option<Replay>,
-}
-
-/// State of an in-place re-registration: the next [`SourceMap::add_file`]
-/// calls are expected to re-register exactly the planned files (same names,
-/// same order) and replace their entries, keeping the ids stable.
-#[derive(Debug, Default, Clone)]
-struct Replay {
-    plan: Vec<FileId>,
-    next: usize,
-    diverged: bool,
 }
 
 impl SourceMap {
@@ -175,81 +163,25 @@ impl SourceMap {
     }
 
     /// Registers a file and returns its id.
-    ///
-    /// Under an active replay (see [`SourceMap::begin_replay`]) the file
-    /// replaces the next planned entry — same id, new text — as long as the
-    /// registered name matches the planned one. The old entry is replaced,
-    /// never mutated, so a clone of the map taken earlier keeps its text.
-    /// The first mismatch marks the replay as diverged and falls back to
-    /// appending.
     pub fn add_file(&mut self, name: impl Into<String>, text: impl Into<String>) -> FileId {
-        let name = name.into();
-        let text = text.into();
-        if let Some(replay) = &mut self.replay {
-            if !replay.diverged {
-                match replay.plan.get(replay.next) {
-                    Some(&id) if self.files[id.0 as usize].name == name => {
-                        replay.next += 1;
-                        self.files[id.0 as usize] = Arc::new(SourceFile::new(name, text));
-                        return id;
-                    }
-                    _ => replay.diverged = true,
-                }
-            }
-        }
         let id = FileId(self.files.len() as u32);
-        self.files.push(Arc::new(SourceFile::new(name, text)));
+        self.files.push(Arc::new(SourceFile::new(name.into(), text.into())));
         id
     }
 
-    /// The shared entries of `ids`, in order: what a replay over `ids`
-    /// would replace, kept so [`SourceMap::put_entries`] can put it back.
+    /// Puts every file of `entries` in place of this map's files from
+    /// `base` on, in order, and returns the entries it replaced, as a map
+    /// of their own. Ids stay as they were, and entries are replaced,
+    /// never mutated, so a clone of this map taken earlier keeps its
+    /// texts. Putting the returned map back undoes the call.
     ///
     /// # Panics
     ///
-    /// Panics if an id was not produced by this map or is synthetic.
-    pub fn entries(&self, ids: &[FileId]) -> Vec<Arc<SourceFile>> {
-        ids.iter().map(|id| Arc::clone(&self.files[id.0 as usize])).collect()
-    }
-
-    /// Puts entries taken with [`SourceMap::entries`] back under the same
-    /// `ids`, replacing whatever those ids hold now.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lengths differ or an id is out of range.
-    pub fn put_entries(&mut self, ids: &[FileId], entries: Vec<Arc<SourceFile>>) {
-        assert_eq!(ids.len(), entries.len(), "one entry per id");
-        for (id, entry) in ids.iter().zip(entries) {
-            self.files[id.0 as usize] = entry;
-        }
-    }
-
-    /// Starts a replay: the next `plan.len()` calls to
-    /// [`SourceMap::add_file`] are expected to re-register exactly the
-    /// planned files in order (same names) and will replace their entries,
-    /// preserving the ids. Used by incremental sessions to re-lex one
-    /// changed root without disturbing the ids of every other file.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a replay is already active or a planned id is out of range.
-    pub fn begin_replay(&mut self, plan: Vec<FileId>) {
-        assert!(self.replay.is_none(), "nested SourceMap replay");
-        assert!(plan.iter().all(|id| (id.0 as usize) < self.files.len()));
-        self.replay = Some(Replay { plan, next: 0, diverged: false });
-    }
-
-    /// Ends the active replay. Returns `true` when the re-registration
-    /// matched the plan exactly (every planned file replaced, no extras,
-    /// no name mismatch) — the caller may then keep using the map with all
-    /// ids unchanged. On `false` the map's contents are unspecified beyond
-    /// "still self-consistent" and the caller should rebuild from scratch.
-    pub fn end_replay(&mut self) -> bool {
-        match self.replay.take() {
-            Some(r) => !r.diverged && r.next == r.plan.len(),
-            None => false,
-        }
+    /// Panics if `entries` reaches past the end of this map.
+    pub fn put_entries(&mut self, base: FileId, mut entries: SourceMap) -> SourceMap {
+        let at = base.0 as usize;
+        self.files[at..at + entries.files.len()].swap_with_slice(&mut entries.files);
+        entries
     }
 
     /// Moves every file of `other` to the end of this map, in order, and
@@ -258,12 +190,7 @@ impl SourceMap {
     /// [`Span::rebased`]. Lets a file set be registered off to the side (on
     /// another thread) and committed later with the ids an in-place
     /// registration at this point would have produced.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a replay is active on either map.
     pub fn append(&mut self, other: SourceMap) -> u32 {
-        assert!(self.replay.is_none() && other.replay.is_none(), "append during a replay");
         let base = self.files.len() as u32;
         self.files.extend(other.files);
         base
@@ -382,14 +309,16 @@ mod tests {
         let root = sm.add_file("r.c", "int a;");
         let hdr = sm.add_file("h.h", "int b;");
         let later = sm.add_file("z.c", "int c;");
-        sm.begin_replay(vec![root, hdr]);
-        assert_eq!(sm.add_file("r.c", "long a;"), root);
-        assert_eq!(sm.add_file("h.h", "long b;"), hdr);
-        assert!(sm.end_replay());
+        let mut local = SourceMap::new();
+        local.add_file("r.c", "long a;");
+        local.add_file("h.h", "long b;");
+        let replaced = sm.put_entries(root, local);
         assert_eq!(sm.text(root), "long a;");
         assert_eq!(sm.text(hdr), "long b;");
         assert_eq!(sm.text(later), "int c;");
         assert_eq!(sm.len(), 3);
+        assert_eq!(replaced.len(), 2);
+        assert_eq!(replaced.text(FileId(1)), "int b;");
     }
 
     #[test]
@@ -398,14 +327,13 @@ mod tests {
         let root = sm.add_file("r.c", "int a;\nint b;");
         let hdr = sm.add_file("h.h", "int h;");
         let before = sm.clone();
-        let parked = sm.entries(&[root, hdr]);
-        sm.begin_replay(vec![root, hdr]);
-        sm.add_file("r.c", "long a;");
-        sm.add_file("h.h", "long h;");
-        assert!(sm.end_replay());
+        let mut local = SourceMap::new();
+        local.add_file("r.c", "long a;");
+        local.add_file("h.h", "long h;");
+        let replaced = sm.put_entries(root, local);
         assert_eq!(before.text(root), "int a;\nint b;");
         assert_eq!(sm.text(root), "long a;");
-        sm.put_entries(&[root, hdr], parked);
+        sm.put_entries(root, replaced);
         assert_eq!(sm.text(root), "int a;\nint b;");
         assert_eq!(sm.text(hdr), "int h;");
     }
@@ -419,39 +347,6 @@ mod tests {
             assert_eq!(sm.line(span), sm.loc(span).line);
         }
         assert_eq!(sm.line(Span::synthetic()), 0);
-    }
-
-    #[test]
-    fn replay_diverges_on_name_mismatch() {
-        let mut sm = SourceMap::new();
-        let root = sm.add_file("r.c", "int a;");
-        sm.begin_replay(vec![root]);
-        let other = sm.add_file("other.c", "int b;");
-        assert_ne!(other, root);
-        assert!(!sm.end_replay());
-        assert_eq!(sm.text(root), "int a;");
-        assert_eq!(sm.text(other), "int b;");
-    }
-
-    #[test]
-    fn replay_incomplete_reports_failure() {
-        let mut sm = SourceMap::new();
-        let root = sm.add_file("r.c", "int a;");
-        let hdr = sm.add_file("h.h", "int b;");
-        sm.begin_replay(vec![root, hdr]);
-        sm.add_file("r.c", "long a;");
-        assert!(!sm.end_replay());
-    }
-
-    #[test]
-    fn replay_extra_file_appends() {
-        let mut sm = SourceMap::new();
-        let root = sm.add_file("r.c", "int a;");
-        sm.begin_replay(vec![root]);
-        sm.add_file("r.c", "long a;");
-        let extra = sm.add_file("new.h", "int n;");
-        assert_eq!(extra, FileId(1));
-        assert!(!sm.end_replay());
     }
 
     #[test]
