@@ -7,7 +7,7 @@ use crate::annotate::{apply_annotations, PlacedAnnotation};
 use crate::flags::Flags;
 use crate::frontend::{collect_typedef_names, parse_roots, RootParse};
 use crate::incremental::IncrementalSession;
-use crate::render::RenderedDiagnostic;
+use crate::render::{Fragment, FragmentMemo, RenderedDiagnostic};
 use crate::session::Session;
 use crate::stdlib::STDLIB_SOURCE;
 use crate::suppress::SuppressionSet;
@@ -22,7 +22,7 @@ use lclint_syntax::stable_hash::StableHasher;
 use lclint_syntax::{Parser, Result, Symbol, SyntaxError, TranslationUnit};
 use std::cell::Cell;
 use std::collections::BTreeMap;
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 
 /// The preprocessed+parsed annotated standard library, computed once per
@@ -282,6 +282,44 @@ impl CheckResult {
     }
 }
 
+/// One check's output as [`Linter::finish`] assembles it: the kept
+/// diagnostics as fragments, in output order, and everything else a
+/// [`CheckResult`] carries. The daemon writes its response from the
+/// fragments; [`Assembled::into_result`] makes the [`CheckResult`].
+#[derive(Debug)]
+pub struct Assembled {
+    /// The kept diagnostics, in source order.
+    pub fragments: Vec<Arc<Fragment>>,
+    /// Kept diagnostics by CWE id; classes without one are not counted.
+    pub cwe_counts: BTreeMap<u32, usize>,
+    /// Fragments made for this check; the rest were kept from the last.
+    pub(crate) rendered: usize,
+    /// The rest of the result: its `diagnostics` are empty, since the
+    /// kept diagnostics are `fragments`.
+    pub rest: CheckResult,
+}
+
+impl Assembled {
+    /// True when no anomalies were reported.
+    pub fn is_clean(&self) -> bool {
+        self.fragments.is_empty() && self.rest.sema_errors.is_empty()
+    }
+
+    /// The check result, its diagnostics taken from the fragments: moved
+    /// out of those no one else holds, copied from the others.
+    pub fn into_result(self) -> CheckResult {
+        let diagnostics = self
+            .fragments
+            .into_iter()
+            .map(|f| {
+                Arc::try_unwrap(f)
+                    .map_or_else(|f| f.diagnostic().clone(), Fragment::into_diagnostic)
+            })
+            .collect();
+        CheckResult { diagnostics, ..self.rest }
+    }
+}
+
 /// The checker: LCLint's top-level interface.
 ///
 /// # Examples
@@ -494,58 +532,87 @@ impl Linter {
         Session::once(self, files, roots, incremental)
     }
 
-    /// The one post-check tail of every check run, batch or session.
-    /// `diags` are the per-definition diagnostics of checking `built`, in
-    /// definition order, borrowed from wherever the caller keeps them. The
-    /// build's syntax diagnostics are merged in, the flag-enabled classes
-    /// kept, the rest sorted by location, whatever a stylized suppression
-    /// comment covers dropped, and the survivors rendered: only those are
-    /// ever copied. `sm` is `built.sm`, moved out by a caller that is done
-    /// with the build or cloned by a session that keeps it warm.
+    /// The one post-check tail of every check run, batch or session: the
+    /// assembler. `def_diags` are the per-definition diagnostics of
+    /// checking `built`, in definition order. The build's own and its
+    /// roots' syntax diagnostics follow them; the flag-enabled classes are
+    /// kept and stably sorted by location, whatever a stylized suppression
+    /// comment covers is dropped, and each survivor's fragment is taken
+    /// from `memo` or made. A batch run passes an empty memo; a warm
+    /// session passes the one it keeps, so a check makes fragments only
+    /// for what changed since the last.
     ///
     /// The cache sits *below* this tail: entries hold the full
     /// per-function diagnostics, so toggling message classes or
     /// suppression comments never invalidates anything.
-    pub(crate) fn finish<'d>(
+    pub(crate) fn finish(
         &self,
-        built: &'d BuiltProgram,
-        sm: SourceMap,
-        diags: impl IntoIterator<Item = &'d Diagnostic>,
+        built: &BuiltProgram,
+        def_diags: &[Vec<Diagnostic>],
+        memo: &mut FragmentMemo,
         cache_stats: Option<CacheStats>,
         check_ms: f64,
-    ) -> CheckResult {
-        let mut diags: Vec<&Diagnostic> = diags
-            .into_iter()
-            .chain(&built.pre_root_diags)
-            .chain(built.roots.iter().flat_map(|r| &r.syntax_diags))
-            .filter(|d| self.flags.enabled(d.kind))
-            .collect();
-        diags.sort_by_key(|d| (d.span.file, d.span.start));
-        let (diags, suppressed) = if self.flags.suppression_comments {
+    ) -> Assembled {
+        let sm = &built.sm;
+        // Group `g`: definition `g`, then the build's own diagnostics, then
+        // each root's syntax errors.
+        let defs = def_diags.len();
+        let group = |g: usize| match g.checked_sub(defs) {
+            None => def_diags[g].as_slice(),
+            Some(0) => built.pre_root_diags.as_slice(),
+            Some(k) => built.roots[k - 1].syntax_diags.as_slice(),
+        };
+        memo.sync(group, sm);
+        // One compact key per enabled diagnostic: its span to order and
+        // filter by, its group and index to find it. Keys are pushed in
+        // group order, which the stable sort keeps among equal locations.
+        let mut keys: Vec<(Span, u32, u32)> = Vec::new();
+        for g in 0..defs + 1 + built.roots.len() {
+            for (j, d) in group(g).iter().enumerate() {
+                if self.flags.enabled(d.kind) {
+                    keys.push((d.span, g as u32, j as u32));
+                }
+            }
+        }
+        keys.sort_by_key(|(span, ..)| (span.file, span.start));
+        let (keys, suppressed) = if self.flags.suppression_comments {
             let controls: Vec<_> =
                 built.roots.iter().flat_map(|r| r.controls.iter().cloned()).collect();
-            SuppressionSet::build(&controls, &sm).filter(diags, &sm, |d| d.span)
+            SuppressionSet::build(&controls, sm).filter(keys, sm, |&(span, ..)| span)
         } else {
-            (diags, 0)
+            (keys, 0)
         };
-        let diagnostics = diags.iter().map(|d| RenderedDiagnostic::resolve(d, &sm)).collect();
+        let (mut rendered, mut cwe_counts) = (0, BTreeMap::new());
+        let fragments = keys
+            .into_iter()
+            .map(|(_, g, j)| {
+                let (g, j) = (g as usize, j as usize);
+                let (f, fresh) = memo.fragment(g, j, group(g), sm);
+                rendered += usize::from(fresh);
+                if let Some(id) = f.diagnostic().cwe {
+                    *cwe_counts.entry(id).or_insert(0) += 1;
+                }
+                f
+            })
+            .collect();
         let substrate = SubstrateStats {
             arena: built.arena_stats(),
             symbols: lclint_syntax::intern::symbol_count(),
             frontend_jobs: built.frontend_jobs,
             typedef_reparses: built.typedef_reparses,
         };
-        CheckResult {
-            diagnostics,
+        let rest = CheckResult {
+            diagnostics: Vec::new(),
             suppressed,
-            sema_errors: sema_errors(&built.program, &sm),
-            source_map: sm,
+            sema_errors: sema_errors(&built.program, sm),
+            source_map: sm.clone(),
             cache_stats,
             check_ms,
             parse_ms: built.parse_ms,
             sema_ms: built.sema_ms,
             substrate,
-        }
+        };
+        Assembled { fragments, cwe_counts, rendered, rest }
     }
 }
 

@@ -32,7 +32,7 @@ pub mod suppress;
 
 pub use annotate::{apply_annotations, AppliedAnnotations, PlacedAnnotation};
 pub use driver::{
-    peak_rss_bytes, stdlib_cache_hits, CheckResult, InferOutcome, Linter, SubstrateStats,
+    peak_rss_bytes, stdlib_cache_hits, Assembled, CheckResult, InferOutcome, Linter, SubstrateStats,
 };
 pub use flags::{FlagError, Flags};
 pub use incremental::IncrementalSession;
@@ -40,8 +40,8 @@ pub use lclint_analysis::cache::CacheStats;
 pub use lclint_analysis::{
     CasStats, CasStore, LayeredStore, RemoteClient, RemoteConfig, RemoteStats, StoreConfig,
 };
-pub use render::{render_all, RenderedDiagnostic, RenderedNote, RenderedText};
-pub use session::{Session, SessionStats};
+pub use render::{render_all, Fragment, RenderedDiagnostic, RenderedNote};
+pub use session::{Request, Session, SessionStats};
 pub use stdlib::STDLIB_SOURCE;
 pub use suppress::SuppressionSet;
 

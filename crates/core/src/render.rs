@@ -6,9 +6,11 @@
 //! ```
 
 use lclint_analysis::Diagnostic;
-use lclint_syntax::json::Writer;
-use lclint_syntax::span::SourceMap;
-use std::fmt;
+use lclint_syntax::fx::FxHashMap;
+use lclint_syntax::json::{escape_display, Writer};
+use lclint_syntax::span::{FileId, SourceFile, SourceMap};
+use std::fmt::{self, Write as _};
+use std::sync::{Arc, OnceLock};
 
 /// A fully resolved, printable diagnostic.
 #[derive(Debug, Clone, PartialEq)]
@@ -106,21 +108,143 @@ impl fmt::Display for RenderedDiagnostic {
     }
 }
 
-/// A batch of diagnostics as LCLint prints them, formatted piece by piece
-/// wherever it is displayed: into one `String` by [`render_all`], or
-/// escaped straight into a daemon response.
-#[derive(Debug, Clone, Copy)]
-pub struct RenderedText<'a>(pub &'a [RenderedDiagnostic]);
+/// Renders a batch of diagnostics as LCLint would print them.
+pub fn render_all(diags: &[RenderedDiagnostic]) -> String {
+    let mut out = String::new();
+    for d in diags {
+        let _ = write!(out, "{d}");
+    }
+    out
+}
 
-impl fmt::Display for RenderedText<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.0.iter().try_for_each(|d| fmt::Display::fmt(d, f))
+/// One kept diagnostic in every form an output takes, each made once:
+/// resolved, and on first use encoded as its JSON object (the members of
+/// [`RenderedDiagnostic::write_json`]) and as its `Display` text escaped
+/// for a JSON string. A warm session keeps it for the next check while it
+/// would come out the same; a batch run, which never encodes, drops it.
+#[derive(Debug)]
+pub struct Fragment {
+    diagnostic: RenderedDiagnostic,
+    /// The JSON object and the escaped text.
+    encoded: OnceLock<(String, String)>,
+}
+
+impl Fragment {
+    fn new(d: &Diagnostic, sm: &SourceMap) -> Fragment {
+        Fragment { diagnostic: RenderedDiagnostic::resolve(d, sm), encoded: OnceLock::new() }
+    }
+
+    /// The resolved diagnostic.
+    pub fn diagnostic(&self) -> &RenderedDiagnostic {
+        &self.diagnostic
+    }
+
+    pub(crate) fn into_diagnostic(self) -> RenderedDiagnostic {
+        self.diagnostic
+    }
+
+    fn encoded(&self) -> &(String, String) {
+        self.encoded.get_or_init(|| {
+            let mut text = String::new();
+            escape_display(&mut text, &self.diagnostic);
+            (self.diagnostic.json().done(), text)
+        })
+    }
+
+    /// The diagnostic as a JSON object.
+    pub fn json(&self) -> &str {
+        &self.encoded().0
+    }
+
+    /// The diagnostic's LCLint text, escaped for a JSON string (no quotes).
+    pub fn escaped_text(&self) -> &str {
+        &self.encoded().1
+    }
+
+    /// The fragment's encoded bytes: its JSON object and escaped text.
+    pub fn encoded_len(&self) -> usize {
+        self.json().len() + self.escaped_text().len()
     }
 }
 
-/// Renders a batch of diagnostics as LCLint would print them.
-pub fn render_all(diags: &[RenderedDiagnostic]) -> String {
-    RenderedText(diags).to_string()
+/// The fragments of one check kept for the next, in one group per source
+/// of diagnostics: each definition, then the build's own, then each
+/// root's syntax errors. A group is opened when one of its diagnostics is
+/// first kept, and each fragment is made the first time its diagnostic is
+/// kept. Both are reused while two things hold: the group's diagnostics
+/// are the ones it was opened on (whoever replaces them calls
+/// [`FragmentMemo::forget`] unless they are equal), and every source-map
+/// entry the group's primary and note spans resolve through is the same
+/// entry. The second matters because equal diagnostics can resolve
+/// differently: an edit that moves line breaks but keeps byte offsets
+/// changes the lines of every span into that file.
+#[derive(Debug, Default)]
+pub(crate) struct FragmentMemo {
+    /// Open groups by index; most definitions have no diagnostic.
+    groups: FxHashMap<usize, Group>,
+}
+
+#[derive(Debug)]
+struct Group {
+    /// The entries the group's spans resolved through when it was opened.
+    anchors: Vec<(FileId, Arc<SourceFile>)>,
+    /// One slot per diagnostic of the group, filled when it is kept.
+    slots: Vec<Option<Arc<Fragment>>>,
+}
+
+impl Group {
+    fn open(diags: &[Diagnostic], sm: &SourceMap) -> Group {
+        let mut ids: Vec<FileId> = diags
+            .iter()
+            .flat_map(|d| std::iter::once(d.span).chain(d.notes.iter().map(|n| n.span)))
+            .filter(|s| !s.is_synthetic())
+            .map(|s| s.file)
+            .collect();
+        ids.sort_unstable();
+        ids.dedup();
+        let anchors = ids.into_iter().map(|id| (id, Arc::clone(sm.entry(id)))).collect();
+        Group { anchors, slots: vec![None; diags.len()] }
+    }
+
+    fn is_current(&self, diags: &[Diagnostic], sm: &SourceMap) -> bool {
+        self.slots.len() == diags.len()
+            && self.anchors.iter().all(|(id, f)| Arc::ptr_eq(sm.entry(*id), f))
+    }
+}
+
+impl FragmentMemo {
+    /// Closes group `g`: its diagnostics changed.
+    pub(crate) fn forget(&mut self, g: usize) {
+        self.groups.remove(&g);
+    }
+
+    /// Closes every open group whose fragments would no longer come out
+    /// the same against `sm`; `group(g)` is group `g`'s diagnostics.
+    pub(crate) fn sync<'d>(&mut self, group: impl Fn(usize) -> &'d [Diagnostic], sm: &SourceMap) {
+        self.groups.retain(|&g, open| open.is_current(group(g), sm));
+    }
+
+    /// The fragment of diagnostic `j` of group `g`, whose diagnostics
+    /// are `diags`, and whether it was made now.
+    pub(crate) fn fragment(
+        &mut self,
+        g: usize,
+        j: usize,
+        diags: &[Diagnostic],
+        sm: &SourceMap,
+    ) -> (Arc<Fragment>, bool) {
+        let slot = &mut self.groups.entry(g).or_insert_with(|| Group::open(diags, sm)).slots[j];
+        match slot {
+            Some(f) => (Arc::clone(f), false),
+            None => (Arc::clone(slot.insert(Arc::new(Fragment::new(&diags[j], sm)))), true),
+        }
+    }
+
+    /// Encoded bytes the fragments held have made.
+    pub(crate) fn bytes(&self) -> usize {
+        let slots = self.groups.values().flat_map(|g| g.slots.iter().flatten());
+        slots.filter_map(|f| f.encoded.get()).map(|(json, text)| json.len() + text.len()).sum()
+    }
 }
 
 #[cfg(test)]

@@ -32,9 +32,10 @@
 //!
 //! [`Program`]: lclint_sema::Program
 
-use crate::driver::{BuiltProgram, CheckResult, Linter};
+use crate::driver::{Assembled, BuiltProgram, CheckResult, Linter};
 use crate::frontend::{FrontEnd, RootParse};
 use crate::incremental::IncrementalSession;
+use crate::render::FragmentMemo;
 use lclint_analysis::{check_definitions, AnalysisOptions, Diagnostic};
 use lclint_sema::{CheckedFunction, Program};
 use lclint_syntax::ast::Item;
@@ -55,6 +56,8 @@ struct State {
     built: BuiltProgram,
     /// Per-definition diagnostics from the last check, in definition order.
     def_diags: Vec<Vec<Diagnostic>>,
+    /// The last check's fragments (see [`Linter::finish`]).
+    memo: FragmentMemo,
     /// Definitions whose last result was not backed by a validated cache
     /// entry (degraded or unanchorable) — always re-checked.
     unstable: FxHashSet<Symbol>,
@@ -101,7 +104,26 @@ lclint_syntax::counters! {
         interned_bytes: usize,
         /// Bytes of AST arena storage across the session's units.
         arena_bytes: usize,
+        /// Diagnostics resolved afresh for a check (and encoded, once, when
+        /// a response is written from them); the rest were kept from the
+        /// check before.
+        rendered: usize,
+        /// Bytes of encoded diagnostics kept for the next check.
+        fragment_bytes: usize,
     }
+}
+
+/// What a request asks of a [`Session`].
+#[derive(Debug, Clone, Copy)]
+pub enum Request<'a> {
+    /// Check the canonical file set.
+    Check,
+    /// Check with file `.0` holding text `.1` for this request only; the
+    /// canonical file set is left untouched.
+    Overlay(&'a str, &'a str),
+    /// Make text `.1` the canonical text of file `.0` (registering it if
+    /// new), then check.
+    Change(&'a str, &'a str),
 }
 
 /// A persistent analysis session over a fixed root set.
@@ -180,25 +202,54 @@ impl Session {
         self.files.iter().map(|(n, _)| n.clone()).collect()
     }
 
-    /// Checks the current file set, building the program if this is the
-    /// first call (cold) and reusing the warm state otherwise. `jobs`
-    /// overrides the configured worker count for this call only (output is
-    /// identical for any value).
+    /// Serves `req`, returning output byte-identical to a cold batch run
+    /// over the file set it sees. `jobs` overrides the configured worker
+    /// count for this call only (output is identical for any value).
+    ///
+    /// An overlay is kept *loaded*: the restore to canonical text happens
+    /// lazily on the next request that needs it, which makes an overlay
+    /// storm on one file (the editor-typing pattern) cost one patch per
+    /// request instead of an edit/restore pair. Concurrent callers
+    /// interleaving overlays still see responses that are pure functions
+    /// of (canonical files, request).
+    ///
+    /// # Errors
+    ///
+    /// Propagates hard build errors (broken interface libraries).
+    pub fn serve(&mut self, req: Request<'_>, jobs: Option<usize>) -> Result<Assembled> {
+        match req {
+            Request::Check => {
+                self.restore_canonical(jobs)?;
+                if self.state.is_none() {
+                    self.rebuild(jobs)?;
+                }
+            }
+            Request::Change(name, text) => self.move_root(name, text, false, jobs)?,
+            Request::Overlay(name, text) if self.file_text(name).is_none() => {
+                // Unregistered file: the built state would include it, so
+                // it cannot be kept loaded. Check once and forget.
+                self.move_root(name, text, false, jobs)?;
+                let out = self.assemble();
+                self.files.retain(|(n, _)| n != name);
+                self.state = None;
+                self.overlay = None;
+                return Ok(out);
+            }
+            Request::Overlay(name, text) => self.move_root(name, text, true, jobs)?,
+        }
+        Ok(self.assemble())
+    }
+
+    /// Checks the current file set: [`Request::Check`].
     ///
     /// # Errors
     ///
     /// Propagates hard build errors (broken interface libraries).
     pub fn check(&mut self, jobs: Option<usize>) -> Result<CheckResult> {
-        self.restore_canonical(jobs)?;
-        if self.state.is_none() {
-            self.rebuild(jobs)?;
-        }
-        Ok(self.assemble())
+        self.serve(Request::Check, jobs).map(Assembled::into_result)
     }
 
-    /// Applies an edit and checks: replaces `name`'s text (registering the
-    /// file if new) and returns diagnostics byte-identical to a cold batch
-    /// run over the updated file set.
+    /// Applies an edit and checks: [`Request::Change`].
     ///
     /// # Errors
     ///
@@ -209,19 +260,10 @@ impl Session {
         text: &str,
         jobs: Option<usize>,
     ) -> Result<CheckResult> {
-        self.move_root(name, text, false, jobs)?;
-        Ok(self.assemble())
+        self.serve(Request::Change(name, text), jobs).map(Assembled::into_result)
     }
 
-    /// Checks a request-scoped overlay: `name` holds `text` for this check
-    /// only, and the canonical file set is left untouched, so concurrent
-    /// callers interleaving overlay checks always see responses that are
-    /// pure functions of (canonical files, request).
-    ///
-    /// The overlaid state is kept *loaded*: the restore to canonical text
-    /// happens lazily on the next request that needs it, which makes an
-    /// overlay storm on one file (the editor-typing pattern) cost one patch
-    /// per request instead of an edit/restore pair.
+    /// Checks a request-scoped overlay: [`Request::Overlay`].
     ///
     /// # Errors
     ///
@@ -232,17 +274,7 @@ impl Session {
         text: &str,
         jobs: Option<usize>,
     ) -> Result<CheckResult> {
-        if self.file_text(name).is_none() {
-            // Unregistered file: the built state would include it, so it
-            // cannot be kept loaded. Check once and forget.
-            let result = self.did_change(name, text, jobs)?;
-            self.files.retain(|(n, _)| n != name);
-            self.state = None;
-            self.overlay = None;
-            return Ok(result);
-        }
-        self.move_root(name, text, true, jobs)?;
-        Ok(self.assemble())
+        self.serve(Request::Overlay(name, text), jobs).map(Assembled::into_result)
     }
 
     /// Undoes a lazily-loaded overlay: moves its file back to the
@@ -350,8 +382,9 @@ impl Session {
 
     /// Serving counters plus substrate footprint (interner, arenas, cache).
     pub fn stats(&self) -> SessionStats {
-        let (arena_bytes, defs) = self.state.as_ref().map_or((0, 0), |st| {
-            (st.built.arena_stats().total_bytes(), st.built.program.defs.len())
+        let (arena_bytes, defs, fragment_bytes) = self.state.as_ref().map_or((0, 0, 0), |st| {
+            let bp = &st.built;
+            (bp.arena_stats().total_bytes(), bp.program.defs.len(), st.memo.bytes())
         });
         SessionStats {
             cache_entries: self.inc.len(),
@@ -359,6 +392,7 @@ impl Session {
             symbols: lclint_syntax::symbol_count(),
             interned_bytes: lclint_syntax::interned_bytes(),
             arena_bytes,
+            fragment_bytes,
             ..self.served
         }
     }
@@ -525,7 +559,11 @@ impl Session {
         let unstable_idx = inc.check(&st.built.program, &opts, lib, &dirty, &mut slots);
         st.check_ms = check_start.elapsed().as_secs_f64() * 1000.0;
         for &i in &dirty {
-            st.def_diags[i] = slots[i].take().unwrap_or_default();
+            let diags = slots[i].take().unwrap_or_default();
+            if diags != st.def_diags[i] {
+                st.def_diags[i] = diags;
+                st.memo.forget(i);
+            }
             st.unstable.remove(&defs[i].sig.name);
         }
         for &i in &unstable_idx {
@@ -533,33 +571,33 @@ impl Session {
         }
     }
 
-    /// Builds a [`CheckResult`] from the warm state through the batch
-    /// driver's own tail ([`Linter::finish`]). The source map's clone
-    /// shares every file's text with the state.
-    fn assemble(&mut self) -> CheckResult {
-        let st = self.state.as_ref().expect("assemble requires state");
-        let diags = st.def_diags.iter().flatten();
+    /// Assembles the warm state's output through the batch driver's own
+    /// tail ([`Linter::finish`]) with the state's fragments.
+    fn assemble(&mut self) -> Assembled {
+        let st = self.state.as_mut().expect("assemble requires state");
         let stats = self.inc.cache.take_stats();
-        self.linter.finish(&st.built, st.built.sm.clone(), diags, Some(stats), st.check_ms)
+        let out =
+            self.linter.finish(&st.built, &st.def_diags, &mut st.memo, Some(stats), st.check_ms);
+        self.served.rendered += out.rendered;
+        out
     }
 
     /// A batch run: a one-shot session over the caller's cache, or over
     /// none. It builds and checks cold exactly as a session's first check
-    /// does, then hands the build to the shared tail instead of keeping it
-    /// warm, so neither the file set nor the source map is copied.
+    /// does, then hands the build to the shared tail with no fragments
+    /// kept, instead of keeping it warm.
     pub(crate) fn once(
         linter: &Linter,
         files: &[(String, String)],
         roots: &[String],
         mut inc: Option<&mut IncrementalSession>,
     ) -> Result<CheckResult> {
-        let State { mut built, def_diags, check_ms, .. } =
+        let State { built, def_diags, check_ms, .. } =
             State::cold(linter, inc.as_deref_mut(), files, roots, None)?;
-        let sm = std::mem::take(&mut built.sm);
         let stats = inc.map(|inc| inc.cache.take_stats());
-        let result = linter.finish(&built, sm, def_diags.iter().flatten(), stats, check_ms);
+        let out = linter.finish(&built, &def_diags, &mut FragmentMemo::default(), stats, check_ms);
         built.release();
-        Ok(result)
+        Ok(out.into_result())
     }
 }
 
@@ -592,7 +630,7 @@ impl State {
         let check_ms = check_start.elapsed().as_secs_f64() * 1000.0;
         let unstable = unstable_idx.iter().map(|&i| defs[i].sig.name).collect();
         let def_diags = slots.into_iter().map(|s| s.unwrap_or_default()).collect();
-        Ok(State { built, def_diags, unstable, check_ms })
+        Ok(State { built, def_diags, memo: FragmentMemo::default(), unstable, check_ms })
     }
 }
 

@@ -39,7 +39,7 @@ pub mod cas;
 pub use lclint_syntax::json;
 
 use json::{Json, Writer};
-use lclint_core::{CacheStats, CheckResult, RenderedText, Session};
+use lclint_core::{Assembled, CacheStats, Request, Session};
 use lclint_syntax::stats::Counters;
 use std::collections::BTreeMap;
 use std::io::{self, BufRead, BufReader, Write};
@@ -143,25 +143,26 @@ impl Daemon {
         let started = Instant::now();
         let mut guard = self.session.lock().unwrap_or_else(|e| e.into_inner());
         let (session, totals) = &mut *guard;
-        let outcome = match (method, file, text) {
-            ("didChange", Some(f), Some(t)) => session.did_change(f, t, jobs),
-            ("check", Some(f), Some(t)) => session.check_overlay(f, t, jobs),
-            ("check", None, None) => session.check(jobs),
+        let req = match (method, file, text) {
+            ("didChange", Some(f), Some(t)) => Request::Change(f, t),
+            ("check", Some(f), Some(t)) => Request::Overlay(f, t),
+            ("check", None, None) => Request::Check,
             _ => {
                 return error_response(id, "check/didChange take both `file` and `text` or neither")
             }
         };
-        let result = match outcome {
-            Ok(r) => r,
+        let out = match session.serve(req, jobs) {
+            Ok(out) => out,
             Err(e) => return error_response(id, &format!("build failed: {e}")),
         };
         totals.requests += 1;
-        totals.cwe_counts = result.counts_by_cwe();
-        if let Some(cs) = &result.cache_stats {
+        if let Some(cs) = &out.rest.cache_stats {
             totals.cache.add(cs);
         }
         let ms = started.elapsed().as_secs_f64() * 1000.0;
-        result_response(id, |w| write_check(w, &result, ms))
+        let response = result_response(id, |w| write_check(w, &out, ms));
+        totals.cwe_counts = out.cwe_counts;
+        response
     }
 
     fn handle_stats(&self, id: Option<f64>) -> String {
@@ -183,31 +184,21 @@ impl Daemon {
     }
 }
 
-/// Writes a check result's members into the daemon's `result` object,
-/// `rendered` escaped straight from the diagnostics. `ms` is the request's
-/// wall-clock service time (lock wait included).
-fn write_check(w: Writer, r: &CheckResult, ms: f64) -> Writer {
-    w.reserve(response_len_hint(r))
-        .bool("clean", r.is_clean())
-        .objects("diagnostics", &r.diagnostics, |w, d| d.write_json(w))
+/// Writes a check's members into the daemon's `result` object by copying
+/// its fragments: each diagnostic's JSON object, then each one's escaped
+/// text as `rendered`. The buffer is sized for them up front. `ms` is the
+/// request's wall-clock service time (lock wait included).
+fn write_check(w: Writer, out: &Assembled, ms: f64) -> Writer {
+    let (frags, r) = (&out.fragments, &out.rest);
+    let len = frags.iter().map(|f| f.encoded_len() + 1).sum::<usize>()
+        + r.sema_errors.iter().map(|e| e.len() + 3).sum::<usize>();
+    w.reserve(len + 128)
+        .bool("clean", out.is_clean())
+        .raw_items("diagnostics", frags.iter().map(|f| f.json()))
         .num("suppressed", r.suppressed)
         .str_arr("sema_errors", &r.sema_errors)
-        .display("rendered", RenderedText(&r.diagnostics))
+        .escaped_parts("rendered", frags.iter().map(|f| f.escaped_text()))
         .ms("ms", ms)
-}
-
-/// About how long a check result's members are once written: each
-/// diagnostic's and note's file and message appear twice (in its object
-/// and in `rendered`), plus the syntax, numbers, kind and function around
-/// them. Sizing the buffer from this spares the copies of growing it a
-/// doubling at a time.
-fn response_len_hint(r: &CheckResult) -> usize {
-    let text = |file: &str, message: &str, around: usize| 2 * (file.len() + message.len()) + around;
-    let diags = r.diagnostics.iter().map(|d| {
-        let notes = d.notes.iter().map(|n| text(&n.file, &n.message, 64));
-        text(&d.file, &d.message, 160) + notes.sum::<usize>()
-    });
-    diags.sum::<usize>() + r.sema_errors.iter().map(|e| e.len() + 3).sum::<usize>() + 128
 }
 
 /// A protocol response line: the `id`, then `member` (`result` or

@@ -1,17 +1,18 @@
 //! Daemon leak regression: repeatedly editing and reverting a file must
-//! not grow the interner or the AST arenas without bound. The interner
+//! not grow the interner, the AST arenas or the kept fragments without
+//! bound. The interner
 //! is process-global, so this test lives alone in its own integration
 //! binary — no other test's interning can disturb the counters.
 
 use lclint_core::{Flags, Linter, Session};
 use lclint_server::{json, Daemon};
 
-fn stats(daemon: &Daemon) -> (usize, usize, usize, usize) {
+fn stats(daemon: &Daemon) -> (usize, usize, usize, usize, usize) {
     let r = daemon.handle_line(r#"{"id": 0, "method": "stats"}"#);
     let v = json::parse(&r).unwrap();
     let s = v.get("result").unwrap();
     let f = |k: &str| s.get(k).and_then(json::Json::as_usize).unwrap();
-    (f("symbols"), f("interned_bytes"), f("arena_bytes"), f("cache_entries"))
+    (f("symbols"), f("interned_bytes"), f("arena_bytes"), f("cache_entries"), f("fragment_bytes"))
 }
 
 #[test]
@@ -44,4 +45,6 @@ fn hundred_edit_revert_cycles_keep_counters_steady() {
     assert_eq!(after.1, warm.1, "interned bytes grew across edit-revert cycles");
     assert_eq!(after.2, warm.2, "arena bytes grew across edit-revert cycles");
     assert_eq!(after.3, warm.3, "cache entries grew across edit-revert cycles");
+    assert!(warm.4 > 0, "the edited file's diagnostics are kept as fragments");
+    assert_eq!(after.4, warm.4, "fragment bytes moved across edit-revert cycles");
 }

@@ -324,13 +324,28 @@ impl Writer {
         self
     }
 
-    /// Adds a string member holding `v`'s `Display` text, escaped as it is
-    /// formatted: the text itself is never built.
-    pub fn display(mut self, k: &str, v: impl fmt::Display) -> Self {
+    /// Adds a string member made of `parts`, each already escaped (see
+    /// [`escape_display`]), copied in order.
+    pub fn escaped_parts<'s>(mut self, k: &str, parts: impl IntoIterator<Item = &'s str>) -> Self {
         self.key(k);
         self.buf.push('"');
-        let _ = write!(Escaping(&mut self.buf), "{v}");
+        parts.into_iter().for_each(|p| self.buf.push_str(p));
         self.buf.push('"');
+        self
+    }
+
+    /// Adds an array member of JSON values already encoded, copied in
+    /// order.
+    pub fn raw_items<'s>(mut self, k: &str, items: impl IntoIterator<Item = &'s str>) -> Self {
+        self.key(k);
+        self.buf.push('[');
+        for (i, item) in items.into_iter().enumerate() {
+            if i > 0 {
+                self.buf.push(',');
+            }
+            self.buf.push_str(item);
+        }
+        self.buf.push(']');
         self
     }
 
@@ -501,6 +516,14 @@ fn escape_into(out: &mut String, s: &str) {
     out.push_str(&s[run..]);
 }
 
+/// Appends `v`'s `Display` text escaped for a JSON string, without quotes,
+/// as it is formatted: the text itself is never built. Escaping works
+/// character by character, so escaped parts concatenate to the escape of
+/// their concatenation.
+pub fn escape_display(out: &mut String, v: impl fmt::Display) {
+    let _ = write!(Escaping(out), "{v}");
+}
+
 /// A `fmt::Write` sink that escapes what is written into a JSON string.
 struct Escaping<'a>(&'a mut String);
 
@@ -569,12 +592,13 @@ mod tests {
                 w.objects("a", ["b\"c"], |w, n| w.str("n", n))
                     .object("empty", |w| w)
                     .objects("none", [(); 0], |w, ()| w)
-                    .display("shown", format_args!("{}\t{}", 1, "\"x\""))
+                    .escaped_parts("shown", ["1\\t", "\\\"x\\\""])
+                    .raw_items("raw", ["1", "{}"])
             })
             .done();
         assert_eq!(
             s,
-            r#"{"id":7,"result":{"a":[{"n":"b\"c"}],"empty":{},"none":[],"shown":"1\t\"x\""}}"#
+            r#"{"id":7,"result":{"a":[{"n":"b\"c"}],"empty":{},"none":[],"shown":"1\t\"x\"","raw":[1,{}]}}"#
         );
     }
 
@@ -629,8 +653,10 @@ mod tests {
             write_escaped(&mut escaped, &text);
             assert_eq!(&escaped[1..], escape_by_char(&text), "{text:?}");
             assert_eq!(parse(&escaped[1..]).unwrap().as_str(), Some(text.as_str()));
-            let shown = Writer::obj().display("k", &text).done();
-            assert_eq!(shown, format!("{{\"k\":{}}}", escape_by_char(&text)));
+            let mut shown = String::from('"');
+            escape_display(&mut shown, format_args!("{text}"));
+            shown.push('"');
+            assert_eq!(shown, escape_by_char(&text));
         }
     }
 }

@@ -205,6 +205,17 @@ impl SourceMap {
         &self.files[id.0 as usize].text
     }
 
+    /// The shared entry of a file. Entries are replaced, never mutated, so
+    /// an entry held since an earlier lookup is the current one exactly
+    /// when it is the same `Arc` ([`Arc::ptr_eq`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` was not produced by this map or is synthetic.
+    pub fn entry(&self, id: FileId) -> &Arc<SourceFile> {
+        &self.files[id.0 as usize]
+    }
+
     /// Returns the registered name of a file.
     pub fn name(&self, id: FileId) -> &str {
         &self.files[id.0 as usize].name
