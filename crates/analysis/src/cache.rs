@@ -169,6 +169,20 @@ lclint_syntax::counters! {
     }
 }
 
+/// What a definition's current result was validated under: the body hash
+/// and span length it was probed with, and the fingerprint of the entry
+/// that backs it. A caller that keeps these across checks of programs
+/// whose every declaration and function header kept its structural hash
+/// (a warm session between rebuilds) lets a probe that finds all three
+/// unchanged rebase the entry without re-digesting its dependencies:
+/// nothing the fingerprint covers can have changed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Validated {
+    body_hash: u64,
+    len: u32,
+    fingerprint: u64,
+}
+
 impl CacheStats {
     /// Definitions examined in total.
     pub fn lookups(&self) -> usize {
@@ -408,7 +422,16 @@ pub fn check_program_cached(
 ) -> Vec<Diagnostic> {
     let indices: Vec<usize> = (0..program.defs.len()).collect();
     let mut slots: Vec<Option<Vec<Diagnostic>>> = vec![None; program.defs.len()];
-    check_program_cached_slots(program, opts, lib_digest, cache, &indices, &mut slots);
+    let mut validated = vec![None; program.defs.len()];
+    check_program_cached_slots(
+        program,
+        opts,
+        lib_digest,
+        cache,
+        &indices,
+        &mut slots,
+        &mut validated,
+    );
     slots.into_iter().flatten().flatten().collect()
 }
 
@@ -429,6 +452,11 @@ pub fn check_program_cached(
 /// check order, so concatenating filled slots in index order reproduces
 /// [`check_program`]'s output byte-for-byte for any job count.
 ///
+/// `validated[i]` is what definition `i`'s result was last validated under
+/// (see [`Validated`]), `None` when nothing is known; the probe trusts a
+/// held entry that matches it, and records what each probed definition's
+/// result is validated under now.
+///
 /// [`check_program`]: crate::checker::check_program
 pub fn check_program_cached_slots(
     program: &Program,
@@ -437,6 +465,7 @@ pub fn check_program_cached_slots(
     cache: &mut CheckCache,
     indices: &[usize],
     slots: &mut [Option<Vec<Diagnostic>>],
+    validated: &mut [Option<Validated>],
 ) -> Vec<usize> {
     let od = options_digest(opts);
     let defs = &program.defs;
@@ -450,11 +479,16 @@ pub fn check_program_cached_slots(
     for &i in indices {
         let def = &defs[i];
         let body_hash = function_def_hash(&def.arena, &def.ast);
+        let len = def.sig.span.len();
+        let key = |entry: &CacheEntry| Validated { body_hash, len, fingerprint: entry.fingerprint };
         // An entry is reused only when its fingerprint revalidates against
-        // the current program and every span rebases.
+        // the current program, or it is the one this result was validated
+        // under, and every span rebases.
         let reuse = |entry: &CacheEntry| {
-            let fp = fingerprint(program, od, lib_digest, def, body_hash, &entry.deps);
-            (fp == entry.fingerprint).then(|| rebase_diags(entry, def, program)).flatten()
+            let valid = validated[i] == Some(key(entry))
+                || fingerprint(program, od, lib_digest, def, body_hash, &entry.deps)
+                    == entry.fingerprint;
+            valid.then(|| rebase_diags(entry, def, program)).flatten()
         };
         let held = cache.entries.get(&def.sig.name);
         let invalidated = held.is_some();
@@ -478,9 +512,11 @@ pub fn check_program_cached_slots(
         }
         if let Some(diags) = reused {
             cache.stats.hits += 1;
+            validated[i] = cache.entries.get(&def.sig.name).map(key);
             slots[i] = Some(diags);
             continue;
         }
+        validated[i] = None;
         if invalidated {
             cache.stats.invalidations += 1;
         } else {
@@ -518,13 +554,15 @@ pub fn check_program_cached_slots(
     // Phase 3, the ordered commit on the calling thread: publish to the
     // shared store (so sibling processes skip the check), hold, count, fill.
     let commit = |k: usize, (diags, fresh): (Vec<Diagnostic>, Fresh)| {
-        let i = misses[k].0;
+        let (i, body_hash) = misses[k];
         let name = defs[i].sig.name;
         match fresh {
             Fresh::Entry(entry, payload) => {
                 if let (Some(store), Some((key, payload))) = (cache.backing.as_mut(), payload) {
                     store.put(key, &payload);
                 }
+                let (len, fingerprint) = (defs[i].sig.span.len(), entry.fingerprint);
+                validated[i] = Some(Validated { body_hash, len, fingerprint });
                 cache.entries.insert(name, entry);
             }
             Fresh::Uncacheable => {

@@ -45,7 +45,7 @@ pub mod state;
 
 pub use cache::{
     check_program_cached, check_program_cached_slots, options_digest, CacheStats, CheckCache,
-    CACHE_FORMAT_VERSION,
+    Validated, CACHE_FORMAT_VERSION,
 };
 pub use castore::{CasStats, CasStore};
 pub use checker::{check_definitions, check_function_isolated, check_program, FunctionOutcome};

@@ -23,12 +23,15 @@
 //!
 //! [`CACHE_FORMAT_VERSION`]: lclint_analysis::CACHE_FORMAT_VERSION
 
-use lclint_analysis::cache::{check_program_cached_slots, options_digest, CacheEntry, CheckCache};
+use lclint_analysis::cache::{
+    check_program_cached_slots, options_digest, CacheEntry, CheckCache, Validated,
+};
 use lclint_analysis::castore::{
     decode_entry, encode_entry, r_u32, r_u64, read_artifact, w_u32, w_u64, write_artifact,
 };
 use lclint_analysis::{AnalysisOptions, Diagnostic};
-use lclint_sema::Program;
+use lclint_sema::{CheckedFunction, Program};
+use lclint_syntax::fx::{FxHashMap, FxHashSet};
 use lclint_syntax::Symbol;
 use std::fs;
 use std::io;
@@ -115,8 +118,9 @@ impl IncrementalSession {
     }
 
     /// Checks the definitions of `program` at `indices` (ascending)
-    /// through the cache, filling their `slots`, and returns the unstable
-    /// ones (see [`check_program_cached_slots`]). A disk-loaded cache whose
+    /// through the cache, filling their `slots` and `validated` keys, and
+    /// returns the unstable ones (see [`check_program_cached_slots`]).
+    /// A disk-loaded cache whose
     /// stamp does not match `opts` and `lib_digest` is dropped first: the
     /// file was written by a different world. A directory-backed cache is
     /// saved afterwards; a failed save costs the next run its warm start,
@@ -128,17 +132,80 @@ impl IncrementalSession {
         lib_digest: u64,
         indices: &[usize],
         slots: &mut [Option<Vec<Diagnostic>>],
+        validated: &mut [Option<Validated>],
     ) -> Vec<usize> {
         let stamp = (options_digest(opts), lib_digest);
         if self.loaded_stamp.take().is_some_and(|loaded| loaded != stamp) {
             self.cache = CheckCache::new();
         }
+        let cache = &mut self.cache;
         let unstable =
-            check_program_cached_slots(program, opts, lib_digest, &mut self.cache, indices, slots);
+            check_program_cached_slots(program, opts, lib_digest, cache, indices, slots, validated);
         if let Some(dir) = &self.dir {
             let _ = save_cache(dir, &self.cache, stamp);
         }
         unstable
+    }
+}
+
+/// Which definitions' cache entries list each name among their resolved
+/// functions and globals: the definitions whose cached notes can anchor
+/// on that name's declaration. Keyed by definition name, as the cache is.
+#[derive(Debug, Default)]
+pub(crate) struct Dependents {
+    /// Dependency name → names of the definitions whose entry lists it.
+    users: FxHashMap<Symbol, FxHashSet<Symbol>>,
+    /// Definition name → the dependency names it is listed under.
+    listed: FxHashMap<Symbol, Vec<Symbol>>,
+    /// Definition names with no entry: dependents of every name.
+    unlisted: FxHashSet<Symbol>,
+    /// Definition name → its indices.
+    named: FxHashMap<Symbol, Vec<usize>>,
+}
+
+impl Dependents {
+    /// The index of `defs` over the entries `cache` holds.
+    pub(crate) fn build(defs: &[CheckedFunction], cache: &CheckCache) -> Dependents {
+        let mut index = Dependents::default();
+        for (i, def) in defs.iter().enumerate() {
+            index.named.entry(def.sig.name).or_default().push(i);
+        }
+        let names: Vec<Symbol> = index.named.keys().copied().collect();
+        index.relist(&names, cache);
+        index
+    }
+
+    /// Lists the definitions named `names` again, under their current
+    /// entries (call after checking them).
+    pub(crate) fn relist(&mut self, names: &[Symbol], cache: &CheckCache) {
+        for &name in names {
+            for dep in self.listed.remove(&name).unwrap_or_default() {
+                if let Some(users) = self.users.get_mut(&dep) {
+                    users.remove(&name);
+                }
+            }
+            let Some(entry) = cache.entry(name) else {
+                self.unlisted.insert(name);
+                continue;
+            };
+            self.unlisted.remove(&name);
+            let deps: Vec<Symbol> =
+                entry.deps.functions.iter().chain(&entry.deps.globals).copied().collect();
+            for &dep in &deps {
+                self.users.entry(dep).or_default().insert(name);
+            }
+            self.listed.insert(name, deps);
+        }
+    }
+
+    /// Pushes onto `out` the indices of the definitions named `names`, of
+    /// every definition whose entry lists one of `deps`, and of every one
+    /// with no entry.
+    pub(crate) fn collect(&self, names: &[Symbol], deps: &[Symbol], out: &mut Vec<usize>) {
+        let users = deps.iter().filter_map(|d| self.users.get(d)).flatten();
+        for name in names.iter().chain(users).chain(&self.unlisted) {
+            out.extend(self.named.get(name).into_iter().flatten());
+        }
     }
 }
 

@@ -10,6 +10,7 @@ use lclint_syntax::fx::FxHashMap;
 use lclint_syntax::json::{escape_display, Writer};
 use lclint_syntax::span::{FileId, SourceFile, SourceMap};
 use std::fmt::{self, Write as _};
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 /// A fully resolved, printable diagnostic.
@@ -184,6 +185,15 @@ pub(crate) struct FragmentMemo {
     groups: FxHashMap<usize, Group>,
 }
 
+/// Fragment groups taken out of a [`FragmentMemo`] by a splice, each with
+/// the diagnostics it was made for, kept with the parse the splice
+/// replaced: a splice that puts that parse back puts back the groups
+/// (see [`FragmentMemo::unstash`]).
+#[derive(Debug, Default)]
+pub(crate) struct Stash {
+    groups: Vec<(usize, Group, Vec<Diagnostic>)>,
+}
+
 #[derive(Debug)]
 struct Group {
     /// The entries the group's spans resolved through when it was opened.
@@ -237,6 +247,45 @@ impl FragmentMemo {
         match slot {
             Some(f) => (Arc::clone(f), false),
             None => (Arc::clone(slot.insert(Arc::new(Fragment::new(&diags[j], sm)))), true),
+        }
+    }
+
+    /// Takes out every open group that resolves through an entry of ids
+    /// `files` that `sm` no longer holds (a splice just replaced it), with
+    /// the diagnostics it was made for, `group(g)`.
+    pub(crate) fn stash<'d>(
+        &mut self,
+        files: Range<u32>,
+        group: impl Fn(usize) -> &'d [Diagnostic],
+        sm: &SourceMap,
+    ) -> Stash {
+        let stale = |open: &Group| {
+            open.anchors
+                .iter()
+                .any(|(id, f)| files.contains(&id.0) && !Arc::ptr_eq(sm.entry(*id), f))
+        };
+        let taken: Vec<usize> =
+            self.groups.iter().filter(|(_, o)| stale(o)).map(|(&g, _)| g).collect();
+        let groups = taken
+            .into_iter()
+            .filter_map(|g| Some((g, self.groups.remove(&g)?, group(g).to_vec())))
+            .collect();
+        Stash { groups }
+    }
+
+    /// Puts back every group of `stash` that would come out the same
+    /// again: its diagnostics are `group(g)` once more, and `sm` holds the
+    /// entries it resolved through (a splice put them back).
+    pub(crate) fn unstash<'d>(
+        &mut self,
+        stash: Stash,
+        group: impl Fn(usize) -> &'d [Diagnostic],
+        sm: &SourceMap,
+    ) {
+        for (g, open, diags) in stash.groups {
+            if diags == group(g) && open.is_current(&diags, sm) {
+                self.groups.insert(g, open);
+            }
         }
     }
 

@@ -1,11 +1,15 @@
 //! The fleet coordinator: shards a suite across workers, enforces
 //! wall-clock budgets, and merges per-shard results deterministically.
 //!
-//! Tasks are assigned round-robin by suite index (`i % shards == k`), so
-//! the partition — and therefore the merged result order — depends only
-//! on the suite and the shard count, never on scheduling. The merged
-//! score table is byte-identical for any shard count; the only thing a
-//! shard count changes is wall-clock time.
+//! Tasks are assigned by content: every task with the same `(text,
+//! max_steps)` goes to the shard of its first occurrence, and first
+//! occurrences are dealt round-robin in suite order (`shard_plan`). So
+//! the partition depends only on the suite and the shard count, never on
+//! scheduling, and a task's duplicates run after it on its own worker:
+//! whether a copy finds its artifact in the local store or the remote one
+//! is fixed by the task list, not by timing. The merged score table is
+//! byte-identical for any shard count; the only thing a shard count
+//! changes is wall-clock time.
 //!
 //! Budget discipline (the scoreboard's soundness bar): a task that blows
 //! its per-task budget has its worker killed and scores
@@ -20,7 +24,9 @@ use crate::suite::TaskSpec;
 use crate::worker::{TaskOutput, TaskRunner};
 use lclint_core::{CasStats, Flags, RemoteStats, StoreConfig};
 use lclint_server::json::{self, Json, Writer};
+use lclint_syntax::fx::{FxHashMap, FxHasher};
 use lclint_syntax::stats::Counters;
+use std::hash::Hasher as _;
 use std::io::{self, BufRead, BufReader, Write as _};
 use std::path::PathBuf;
 use std::process::{Child, ChildStdin, Command, Stdio};
@@ -248,7 +254,7 @@ pub struct RunConfig {
     pub global_budget_ms: Option<u64>,
 }
 
-/// Runs a suite: shards tasks round-robin across workers, scores each
+/// Runs a suite: shards tasks by content across workers, scores each
 /// verdict, and merges per-shard results back into suite order.
 pub fn run_suite(tasks: &[TaskSpec], backend: &dyn Backend, cfg: &RunConfig) -> SuiteReport {
     let shards = cfg.shards.max(1);
@@ -256,9 +262,11 @@ pub fn run_suite(tasks: &[TaskSpec], backend: &dyn Backend, cfg: &RunConfig) -> 
     let deadline = cfg.global_budget_ms.map(|ms| started + Duration::from_millis(ms));
     let task_budget = cfg.task_budget_ms.map(Duration::from_millis);
 
+    let plan = shard_plan(tasks, shards);
+    let plan = &plan;
     let per_shard: Vec<ShardOutcome> = thread::scope(|s| {
         let handles: Vec<_> = (0..shards)
-            .map(|k| s.spawn(move || run_shard(tasks, backend, k, shards, task_budget, deadline)))
+            .map(|k| s.spawn(move || run_shard(tasks, plan, backend, k, task_budget, deadline)))
             .collect();
         handles
             .into_iter()
@@ -270,7 +278,7 @@ pub fn run_suite(tasks: &[TaskSpec], backend: &dyn Backend, cfg: &RunConfig) -> 
                     let results = tasks
                         .iter()
                         .enumerate()
-                        .filter(|(i, _)| i % shards == k)
+                        .filter(|&(i, _)| plan[i] == k)
                         .map(|(i, t)| (i, TaskResult::unknown(t, UnknownReason::Internal)))
                         .collect();
                     ShardOutcome { results, respawns: 0 }
@@ -295,6 +303,24 @@ pub fn run_suite(tasks: &[TaskSpec], backend: &dyn Backend, cfg: &RunConfig) -> 
     SuiteReport::new(results, shards, started.elapsed().as_secs_f64() * 1000.0, respawns)
 }
 
+/// The shard of every task: a task whose `(text, max_steps)` occurred
+/// earlier in the suite goes where that first occurrence went, and first
+/// occurrences are dealt round-robin in suite order. A text is known by
+/// its length and 64-bit hash; two programs whose hashes collide would
+/// share a shard, which costs balance, not determinism.
+fn shard_plan(tasks: &[TaskSpec], shards: usize) -> Vec<usize> {
+    let mut first: FxHashMap<(Option<u64>, usize, u64), usize> = FxHashMap::default();
+    tasks
+        .iter()
+        .map(|t| {
+            let mut h = FxHasher::default();
+            h.write(t.text.as_bytes());
+            let next = first.len() % shards;
+            *first.entry((t.max_steps, t.text.len(), h.finish())).or_insert(next)
+        })
+        .collect()
+}
+
 /// How many times a shard will respawn a worker that *died* (timeouts
 /// are exempt — each timed-out task already kills its worker by design,
 /// and a slow suite must not be mistaken for a crashing one). Past the
@@ -312,9 +338,9 @@ struct ShardOutcome {
 
 fn run_shard(
     tasks: &[TaskSpec],
+    plan: &[usize],
     backend: &dyn Backend,
     k: usize,
-    shards: usize,
     task_budget: Option<Duration>,
     deadline: Option<Instant>,
 ) -> ShardOutcome {
@@ -323,7 +349,7 @@ fn run_shard(
     let mut deaths = 0u64;
     let mut respawns = 0u64;
     let mut respawning_after_death = false;
-    for (i, task) in tasks.iter().enumerate().filter(|(i, _)| i % shards == k) {
+    for (i, task) in tasks.iter().enumerate().filter(|&(i, _)| plan[i] == k) {
         if deadline.is_some_and(|d| Instant::now() >= d) {
             out.push((i, TaskResult::unknown(task, UnknownReason::GlobalBudget)));
             continue;

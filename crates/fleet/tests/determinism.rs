@@ -93,3 +93,81 @@ fn warm_rerun_answers_every_task_from_the_store() {
     assert_eq!(cold.render_table(), warm.render_table());
     assert_eq!(cold.render_verdicts(), warm.render_verdicts());
 }
+
+/// A `CasService` on a loopback port, stopped by a `shutdown` op.
+struct Remote {
+    addr: String,
+    thread: std::thread::JoinHandle<()>,
+}
+
+impl Remote {
+    fn start(dir: &std::path::Path) -> Remote {
+        let store = lclint_core::CasStore::open(dir, None).expect("remote store");
+        let service = std::sync::Arc::new(lclint_server::cas::CasService::new(store));
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let addr = listener.local_addr().expect("local addr").to_string();
+        let thread = std::thread::spawn(move || {
+            let _ = lclint_server::serve_tcp(&service, listener);
+        });
+        Remote { addr, thread }
+    }
+
+    fn stop(self) {
+        use std::io::{BufRead, Write};
+        if let Ok(mut s) = std::net::TcpStream::connect(&self.addr) {
+            let _ = s.write_all(b"{\"op\":\"shutdown\"}\n");
+            let _ = std::io::BufReader::new(&s).read_line(&mut String::new());
+        }
+        self.thread.join().expect("remote server thread");
+    }
+}
+
+/// Host A publishes a suite with duplicate programs to a loopback remote;
+/// then host B, on an empty local store each time, runs it twice at 2 and
+/// 4 shards. Every copy of a program runs on the shard of its first
+/// occurrence, after it, so each distinct program is fetched from the
+/// remote exactly once and its copies hit the local store: the remote hit
+/// count depends only on the task list, not on timing.
+#[test]
+fn remote_hits_count_each_distinct_program_once_at_any_shard_count() {
+    let mut tasks = generate_suite(16, 7);
+    // Copies of every third task, under new names, spread through the list.
+    let copies: Vec<TaskSpec> = tasks
+        .iter()
+        .step_by(3)
+        .map(|t| TaskSpec { name: format!("{}_copy", t.name), ..t.clone() })
+        .collect();
+    for (k, copy) in copies.into_iter().enumerate() {
+        tasks.insert((5 * k + 2).min(tasks.len()), copy);
+    }
+    let distinct: std::collections::HashSet<(&str, Option<u64>)> =
+        tasks.iter().map(|t| (t.text.as_str(), t.max_steps)).collect();
+    assert!(distinct.len() < tasks.len(), "the suite must hold duplicates");
+
+    let dir = std::env::temp_dir().join(format!("lclint-remote-hits-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let remote = Remote::start(&dir.join("remote"));
+    let host = |name: String, shards: usize| {
+        let store = StoreConfig {
+            dir: Some(dir.join(name)),
+            max_bytes: None,
+            remote: Some(remote.addr.clone()),
+            chaos: None,
+        };
+        let b = InProcessBackend { flags: Flags::default(), store };
+        run_suite(&tasks, &b, &RunConfig { shards, ..RunConfig::default() })
+    };
+    let published = host("a".to_owned(), 2);
+    assert_eq!(published.incorrect(), 0, "{}", published.render_verdicts());
+    for shards in [2, 4] {
+        for run in 0..2 {
+            let r = host(format!("b-{shards}-{run}"), shards);
+            let what = format!("shards={shards}, run {run}");
+            assert_eq!(r.incorrect(), 0, "{what}: {}", r.render_verdicts());
+            assert_eq!(r.remote.hits as usize, distinct.len(), "{what}: {:?}", r.remote);
+            assert_eq!(r.render_verdicts(), published.render_verdicts(), "{what}");
+        }
+    }
+    remote.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -66,7 +66,24 @@ impl<'a> Lexer<'a> {
     /// Returns an error for malformed literals, unterminated comments, and
     /// characters outside the supported subset.
     pub fn tokenize(text: &str, file: FileId) -> Result<(Vec<Token>, Vec<ControlComment>)> {
-        let mut lx = Lexer::new(text, file);
+        Lexer::tokenize_from(text, file, 0)
+    }
+
+    /// [`Lexer::tokenize`] from byte `offset` on, which must be 0 or the
+    /// end of a token that is neither `#` nor `include`: the lexer is then
+    /// in the state a lex from the start is in at `offset`, so the tokens
+    /// and control comments are those of the whole file's lex that start
+    /// at or after `offset`.
+    ///
+    /// # Errors
+    ///
+    /// As [`Lexer::tokenize`], for the text from `offset` on.
+    pub fn tokenize_from(
+        text: &str,
+        file: FileId,
+        offset: usize,
+    ) -> Result<(Vec<Token>, Vec<ControlComment>)> {
+        let mut lx = Lexer { pos: offset, at_line_start: offset == 0, ..Lexer::new(text, file) };
         let mut out = Vec::new();
         loop {
             let t = lx.next_token()?;

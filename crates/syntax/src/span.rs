@@ -184,6 +184,12 @@ impl SourceMap {
         entries
     }
 
+    /// A map of this map's entries `ids`, in order: the same shared files,
+    /// not copies.
+    pub fn entries(&self, ids: std::ops::Range<u32>) -> SourceMap {
+        SourceMap { files: self.files[ids.start as usize..ids.end as usize].to_vec() }
+    }
+
     /// Moves every file of `other` to the end of this map, in order, and
     /// returns the id offset (`base`) they were given: `other`'s file `i`
     /// becomes file `base + i` here. Spans into `other` move over with
